@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal JSON emission for machine-readable experiment artifacts.
+ * Minimal JSON emission and reading for machine-readable experiment
+ * artifacts, plus the whole-file I/O every artifact goes through.
  *
  * The bench binaries historically printed plain-text tables only;
  * JsonWriter lets them also serialize per-point sweep results to disk
@@ -8,6 +9,11 @@
  * deterministic: keys are emitted in call order and doubles use a
  * fixed round-trippable format, so identical results serialize to
  * identical bytes (the property the sweep determinism tests check).
+ *
+ * The repo deliberately has no general-purpose JSON parser. The
+ * artifact readers accept exactly the bytes their writers emit (keys
+ * in writer order, no whitespace, no string escapes), walking each
+ * JSONL line with a JsonCursor; anything else is a parse error.
  */
 
 #ifndef OSCAR_SIM_JSON_HH_
@@ -15,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace oscar
@@ -91,6 +98,98 @@ class JsonWriter
     std::vector<bool> hasElement;
     bool keyPending = false;
 };
+
+/**
+ * Strict cursor over one line of a writer-emitted JSONL document.
+ *
+ * Each method consumes one token and returns false on any mismatch.
+ * A failed expect() leaves the cursor in place, so it can probe for an
+ * optional key; after any other failure the position is unspecified
+ * and readers treat the whole line as malformed.
+ */
+class JsonCursor
+{
+  public:
+    explicit JsonCursor(std::string_view text) : text(text) {}
+
+    /** Advance past the literal `token`. */
+    bool expect(std::string_view token);
+    /** A quoted string (writer strings never contain escapes). */
+    bool string(std::string &out);
+    bool u64(std::uint64_t &out);
+    bool u32(std::uint32_t &out);
+    /** A signed integer in [min, INT64_MAX]. */
+    bool i64(std::int64_t &out, std::int64_t min);
+    /** A finite number. */
+    bool number(double &out);
+    /** Skip a balanced `{...}` object (string-aware, escape-free). */
+    bool skipObject();
+
+    /** `[e,e,...]` (possibly empty), reading each element with
+     *  `element()`. */
+    template <typename Element>
+    bool
+    list(Element &&element)
+    {
+        if (!expect("["))
+            return false;
+        if (expect("]"))
+            return true;
+        for (;;) {
+            if (!element())
+                return false;
+            if (expect("]"))
+                return true;
+            if (!expect(","))
+                return false;
+        }
+    }
+
+    /** True once the whole text has been consumed. */
+    bool atEnd() const { return pos == text.size(); }
+
+  private:
+    std::string_view text;
+    std::size_t pos = 0;
+};
+
+/** The '\n'-separated lines of a document; the final newline is
+ *  optional. */
+class JsonlLines
+{
+  public:
+    explicit JsonlLines(std::string_view text) : text(text) {}
+
+    /** Store the next line (without its newline); false at the end. */
+    bool next(std::string_view &line);
+
+    /** 1-based number of the line next() returned last. */
+    std::size_t lineNumber() const { return number; }
+
+  private:
+    std::string_view text;
+    std::size_t pos = 0;
+    std::size_t number = 0;
+};
+
+/**
+ * Read the whole file at `path` into `text`.
+ *
+ * @return false with `error` set when the file cannot be opened or
+ *         read.
+ */
+bool readTextFile(const std::string &path, std::string &text,
+                  std::string &error);
+
+/**
+ * Replace the file at `path` with `text`.
+ *
+ * @param what Names the artifact in warnings ("metrics", ...).
+ * @return false (with a warning) when the file cannot be opened or
+ *         fully written.
+ */
+bool writeTextFile(const std::string &path, std::string_view text,
+                   const char *what);
 
 } // namespace oscar
 

@@ -3,18 +3,16 @@
  * Implementation of the `oscar.metrics.v1` reader.
  *
  * The scanner is deliberately strict: it accepts exactly the byte
- * layout metrics_capture.cc produces (keys in writer order, no
- * whitespace, no string escapes). Anything else is a parse error —
- * which is what the validation tests and the CI schema check want.
+ * layout metrics_capture.cc produces (see JsonCursor). Anything else
+ * is a parse error — which is what the validation tests and the CI
+ * schema check want.
  */
 
 #include "sim/metrics_reader.hh"
 
-#include <charconv>
-#include <cstdio>
 #include <string_view>
 
-#include "sim/logging.hh"
+#include "sim/json.hh"
 
 namespace oscar
 {
@@ -22,113 +20,18 @@ namespace oscar
 namespace
 {
 
-/** Advance past `token` or fail. */
+/** `[n,n,...]` (possibly empty). */
 bool
-expect(std::string_view text, std::size_t &pos, std::string_view token)
-{
-    if (text.substr(pos, token.size()) != token)
-        return false;
-    pos += token.size();
-    return true;
-}
-
-/** Parse a quoted string (writer strings never contain escapes). */
-bool
-parseString(std::string_view text, std::size_t &pos, std::string &out)
-{
-    if (pos >= text.size() || text[pos] != '"')
-        return false;
-    const std::size_t end = text.find('"', pos + 1);
-    if (end == std::string_view::npos)
-        return false;
-    out.assign(text.substr(pos + 1, end - pos - 1));
-    pos = end + 1;
-    return true;
-}
-
-bool
-parseUint(std::string_view text, std::size_t &pos, std::uint64_t &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
-
-bool
-parseInt(std::string_view text, std::size_t &pos, std::int64_t &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
-
-bool
-parseDouble(std::string_view text, std::size_t &pos, double &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
-
-/** Parse `[n,n,...]` (possibly empty). */
-bool
-parseNumberArray(std::string_view text, std::size_t &pos,
-                 std::vector<double> &out)
+parseNumberArray(JsonCursor &cur, std::vector<double> &out)
 {
     out.clear();
-    if (!expect(text, pos, "["))
-        return false;
-    if (expect(text, pos, "]"))
-        return true;
-    for (;;) {
+    return cur.list([&] {
         double value = 0;
-        if (!parseDouble(text, pos, value))
+        if (!cur.number(value))
             return false;
         out.push_back(value);
-        if (expect(text, pos, "]"))
-            return true;
-        if (!expect(text, pos, ","))
-            return false;
-    }
-}
-
-/** Skip a balanced `{...}` object (string-aware, escape-free). */
-bool
-skipObject(std::string_view text, std::size_t &pos)
-{
-    if (pos >= text.size() || text[pos] != '{')
-        return false;
-    int depth = 0;
-    bool in_string = false;
-    for (; pos < text.size(); ++pos) {
-        const char c = text[pos];
-        if (in_string) {
-            if (c == '"')
-                in_string = false;
-        } else if (c == '"') {
-            in_string = true;
-        } else if (c == '{') {
-            ++depth;
-        } else if (c == '}') {
-            if (--depth == 0) {
-                ++pos;
-                return true;
-            }
-        }
-    }
-    return false;
+        return true;
+    });
 }
 
 bool
@@ -149,60 +52,36 @@ parseKind(const std::string &name, MetricKind &out)
 bool
 parseMetaLine(std::string_view line, MetricsFile &file)
 {
-    std::size_t pos = 0;
-    if (!expect(line, pos, "{\"schema\":") ||
-        !parseString(line, pos, file.schema)) {
-        return false;
-    }
-    if (!expect(line, pos, ",\"sample_every\":") ||
-        !parseUint(line, pos, file.sampleEvery)) {
-        return false;
-    }
-    if (!expect(line, pos, ",\"measure_sample\":") ||
-        !parseInt(line, pos, file.measureSample)) {
-        return false;
-    }
-    if (!expect(line, pos, ",\"config\":") || !skipObject(line, pos))
-        return false;
-    if (!expect(line, pos, ",\"series\":["))
-        return false;
-    if (!expect(line, pos, "]")) {
-        for (;;) {
-            MetricRegistry::Series series;
-            std::string kind;
-            if (!expect(line, pos, "{\"name\":") ||
-                !parseString(line, pos, series.name) ||
-                !expect(line, pos, ",\"kind\":") ||
-                !parseString(line, pos, kind) ||
-                !expect(line, pos, "}") ||
-                !parseKind(kind, series.kind)) {
-                return false;
-            }
-            file.series.push_back(series);
-            if (expect(line, pos, "]"))
-                break;
-            if (!expect(line, pos, ","))
-                return false;
-        }
-    }
-    return expect(line, pos, "}") && pos == line.size();
+    JsonCursor cur(line);
+    return cur.expect("{\"schema\":") && cur.string(file.schema) &&
+           cur.expect(",\"sample_every\":") && cur.u64(file.sampleEvery) &&
+           cur.expect(",\"measure_sample\":") &&
+           cur.i64(file.measureSample, /*min=*/-1) &&
+           cur.expect(",\"config\":") && cur.skipObject() &&
+           cur.expect(",\"series\":") && cur.list([&] {
+               MetricRegistry::Series series;
+               std::string kind;
+               if (!cur.expect("{\"name\":") || !cur.string(series.name) ||
+                   !cur.expect(",\"kind\":") || !cur.string(kind) ||
+                   !cur.expect("}") || !parseKind(kind, series.kind)) {
+                   return false;
+               }
+               file.series.push_back(series);
+               return true;
+           }) &&
+           cur.expect("}") && cur.atEnd();
 }
 
 bool
 parseRowLine(std::string_view line, MetricsRow &row)
 {
-    std::size_t pos = 0;
-    return expect(line, pos, "{\"sample\":") &&
-           parseUint(line, pos, row.sample) &&
-           expect(line, pos, ",\"instant\":") &&
-           parseUint(line, pos, row.instant) &&
-           expect(line, pos, ",\"cycle\":") &&
-           parseUint(line, pos, row.cycle) &&
-           expect(line, pos, ",\"cum\":") &&
-           parseNumberArray(line, pos, row.cum) &&
-           expect(line, pos, ",\"delta\":") &&
-           parseNumberArray(line, pos, row.delta) &&
-           expect(line, pos, "}") && pos == line.size();
+    JsonCursor cur(line);
+    return cur.expect("{\"sample\":") && cur.u64(row.sample) &&
+           cur.expect(",\"instant\":") && cur.u64(row.instant) &&
+           cur.expect(",\"cycle\":") && cur.u64(row.cycle) &&
+           cur.expect(",\"cum\":") && parseNumberArray(cur, row.cum) &&
+           cur.expect(",\"delta\":") && parseNumberArray(cur, row.delta) &&
+           cur.expect("}") && cur.atEnd();
 }
 
 MetricsFile
@@ -230,17 +109,10 @@ MetricsFile
 parseMetricsDocument(const std::string &text)
 {
     MetricsFile file;
-    std::size_t line_start = 0;
-    std::size_t line_no = 0;
+    JsonlLines lines(text);
+    std::string_view line;
     bool have_meta = false;
-    while (line_start < text.size()) {
-        std::size_t line_end = text.find('\n', line_start);
-        if (line_end == std::string::npos)
-            line_end = text.size();
-        const std::string_view line(text.data() + line_start,
-                                    line_end - line_start);
-        line_start = line_end + 1;
-        ++line_no;
+    while (lines.next(line)) {
         if (line.empty())
             continue;
         if (!have_meta) {
@@ -251,7 +123,7 @@ parseMetricsDocument(const std::string &text)
         }
         MetricsRow row;
         if (!parseRowLine(line, row)) {
-            return failParse("line " + std::to_string(line_no) +
+            return failParse("line " + std::to_string(lines.lineNumber()) +
                              ": malformed sample row");
         }
         file.rows.push_back(std::move(row));
@@ -265,15 +137,10 @@ parseMetricsDocument(const std::string &text)
 MetricsFile
 loadMetricsFile(const std::string &path)
 {
-    std::FILE *handle = std::fopen(path.c_str(), "rb");
-    if (handle == nullptr)
-        return failParse("cannot open '" + path + "'");
     std::string text;
-    char buffer[1 << 16];
-    std::size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), handle)) > 0)
-        text.append(buffer, got);
-    std::fclose(handle);
+    std::string error;
+    if (!readTextFile(path, text, error))
+        return failParse(error);
     return parseMetricsDocument(text);
 }
 

@@ -3,16 +3,16 @@
  * Implementation of the `oscar.spans.v1` reader.
  *
  * The scanner is deliberately strict: it accepts exactly the byte
- * layout system/span_capture.cc produces (keys in writer order, no
- * whitespace, no string escapes). Anything else is a parse error —
- * which is what the validation tests and the CI schema check want.
+ * layout system/span_capture.cc produces (see JsonCursor). Anything
+ * else is a parse error — which is what the validation tests and the
+ * CI schema check want.
  */
 
 #include "sim/span_reader.hh"
 
-#include <charconv>
-#include <cstdio>
 #include <string_view>
+
+#include "sim/json.hh"
 
 namespace oscar
 {
@@ -20,217 +20,76 @@ namespace oscar
 namespace
 {
 
-/** Advance past `token` or fail. */
-bool
-expect(std::string_view text, std::size_t &pos, std::string_view token)
-{
-    if (text.substr(pos, token.size()) != token)
-        return false;
-    pos += token.size();
-    return true;
-}
-
-/** Parse a quoted string (writer strings never contain escapes). */
-bool
-parseString(std::string_view text, std::size_t &pos, std::string &out)
-{
-    if (pos >= text.size() || text[pos] != '"')
-        return false;
-    const std::size_t end = text.find('"', pos + 1);
-    if (end == std::string_view::npos)
-        return false;
-    out.assign(text.substr(pos + 1, end - pos - 1));
-    pos = end + 1;
-    return true;
-}
-
-bool
-parseUint(std::string_view text, std::size_t &pos, std::uint64_t &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
-
-bool
-parseUint32(std::string_view text, std::size_t &pos, std::uint32_t &out)
-{
-    std::uint64_t wide = 0;
-    if (!parseUint(text, pos, wide) || wide > 0xFFFFFFFFull)
-        return false;
-    out = static_cast<std::uint32_t>(wide);
-    return true;
-}
-
-bool
-parseDouble(std::string_view text, std::size_t &pos, double &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
-
-/** Skip a balanced `{...}` object (string-aware, escape-free). */
-bool
-skipObject(std::string_view text, std::size_t &pos)
-{
-    if (pos >= text.size() || text[pos] != '{')
-        return false;
-    int depth = 0;
-    bool in_string = false;
-    for (; pos < text.size(); ++pos) {
-        const char c = text[pos];
-        if (in_string) {
-            if (c == '"')
-                in_string = false;
-        } else if (c == '"') {
-            in_string = true;
-        } else if (c == '{') {
-            ++depth;
-        } else if (c == '}') {
-            if (--depth == 0) {
-                ++pos;
-                return true;
-            }
-        }
-    }
-    return false;
-}
-
 bool
 parseMetaLine(std::string_view line, SpansFile &file)
 {
-    std::size_t pos = 0;
-    if (!expect(line, pos, "{\"schema\":") ||
-        !parseString(line, pos, file.schema)) {
-        return false;
-    }
-    if (!expect(line, pos, ",\"spans\":") ||
-        !parseUint(line, pos, file.spans)) {
-        return false;
-    }
-    if (!expect(line, pos, ",\"exemplar_capacity\":") ||
-        !parseUint(line, pos, file.exemplarCapacity)) {
-        return false;
-    }
-    if (!expect(line, pos, ",\"config\":") || !skipObject(line, pos))
-        return false;
-    if (!expect(line, pos, ",\"phases\":["))
-        return false;
-    if (!expect(line, pos, "]")) {
-        for (;;) {
-            std::string name;
-            if (!parseString(line, pos, name))
-                return false;
-            file.catalogue.push_back(std::move(name));
-            if (expect(line, pos, "]"))
-                break;
-            if (!expect(line, pos, ","))
-                return false;
-        }
-    }
-    return expect(line, pos, "}") && pos == line.size();
+    JsonCursor cur(line);
+    return cur.expect("{\"schema\":") && cur.string(file.schema) &&
+           cur.expect(",\"spans\":") && cur.u64(file.spans) &&
+           cur.expect(",\"exemplar_capacity\":") &&
+           cur.u64(file.exemplarCapacity) &&
+           cur.expect(",\"config\":") && cur.skipObject() &&
+           cur.expect(",\"phases\":") && cur.list([&] {
+               std::string name;
+               if (!cur.string(name))
+                   return false;
+               file.catalogue.push_back(std::move(name));
+               return true;
+           }) &&
+           cur.expect("}") && cur.atEnd();
 }
 
 bool
 parsePhaseLine(std::string_view line, SpanPhaseRow &row)
 {
-    std::size_t pos = 0;
-    return expect(line, pos, "{\"phase\":") &&
-           parseString(line, pos, row.name) &&
-           expect(line, pos, ",\"count\":") &&
-           parseUint(line, pos, row.count) &&
-           expect(line, pos, ",\"sum\":") &&
-           parseUint(line, pos, row.sum) &&
-           expect(line, pos, ",\"mean\":") &&
-           parseDouble(line, pos, row.mean) &&
-           expect(line, pos, ",\"min\":") &&
-           parseUint(line, pos, row.min) &&
-           expect(line, pos, ",\"max\":") &&
-           parseUint(line, pos, row.max) &&
-           expect(line, pos, ",\"p50\":") &&
-           parseUint(line, pos, row.p50) &&
-           expect(line, pos, ",\"p95\":") &&
-           parseUint(line, pos, row.p95) &&
-           expect(line, pos, ",\"p99\":") &&
-           parseUint(line, pos, row.p99) &&
-           expect(line, pos, ",\"p999\":") &&
-           parseUint(line, pos, row.p999) &&
-           expect(line, pos, "}") && pos == line.size();
+    JsonCursor cur(line);
+    return cur.expect("{\"phase\":") && cur.string(row.name) &&
+           cur.expect(",\"count\":") && cur.u64(row.count) &&
+           cur.expect(",\"sum\":") && cur.u64(row.sum) &&
+           cur.expect(",\"mean\":") && cur.number(row.mean) &&
+           cur.expect(",\"min\":") && cur.u64(row.min) &&
+           cur.expect(",\"max\":") && cur.u64(row.max) &&
+           cur.expect(",\"p50\":") && cur.u64(row.p50) &&
+           cur.expect(",\"p95\":") && cur.u64(row.p95) &&
+           cur.expect(",\"p99\":") && cur.u64(row.p99) &&
+           cur.expect(",\"p999\":") && cur.u64(row.p999) &&
+           cur.expect("}") && cur.atEnd();
 }
 
 bool
-parseSegObject(std::string_view line, std::size_t &pos, SpanSegRow &seg)
+parseSegObject(JsonCursor &cur, SpanSegRow &seg)
 {
-    if (!expect(line, pos, "{\"ph\":") ||
-        !parseString(line, pos, seg.phase) ||
-        !expect(line, pos, ",\"start\":") ||
-        !parseUint(line, pos, seg.start) ||
-        !expect(line, pos, ",\"cy\":") ||
-        !parseUint(line, pos, seg.cycles)) {
-        return false;
-    }
-    if (expect(line, pos, ",\"sv\":")) {
-        std::uint64_t value = 0;
-        if (!parseUint(line, pos, value))
-            return false;
-        seg.service = static_cast<std::int64_t>(value);
-    }
-    if (expect(line, pos, ",\"q\":")) {
-        std::uint64_t value = 0;
-        if (!parseUint(line, pos, value))
-            return false;
-        seg.queue = static_cast<std::int64_t>(value);
-    }
-    return expect(line, pos, "}");
+    // The optional service and queue ids are non-negative; the -1
+    // "absent" marker exists only in the parsed row.
+    return cur.expect("{\"ph\":") && cur.string(seg.phase) &&
+           cur.expect(",\"start\":") && cur.u64(seg.start) &&
+           cur.expect(",\"cy\":") && cur.u64(seg.cycles) &&
+           (!cur.expect(",\"sv\":") || cur.i64(seg.service, 0)) &&
+           (!cur.expect(",\"q\":") || cur.i64(seg.queue, 0)) &&
+           cur.expect("}");
 }
 
 bool
 parseSpanLine(std::string_view line, SpanRow &row)
 {
-    std::size_t pos = 0;
-    if (!expect(line, pos, "{\"span\":") ||
-        !parseUint(line, pos, row.id) ||
-        !expect(line, pos, ",\"tn\":") ||
-        !parseUint32(line, pos, row.tenant) ||
-        !expect(line, pos, ",\"t\":") ||
-        !parseUint32(line, pos, row.thread) ||
-        !expect(line, pos, ",\"segs_n\":") ||
-        !parseUint32(line, pos, row.segments) ||
-        !expect(line, pos, ",\"seed\":") ||
-        !parseUint(line, pos, row.seed) ||
-        !expect(line, pos, ",\"issued\":") ||
-        !parseUint(line, pos, row.issued) ||
-        !expect(line, pos, ",\"started\":") ||
-        !parseUint(line, pos, row.started) ||
-        !expect(line, pos, ",\"completed\":") ||
-        !parseUint(line, pos, row.completed) ||
-        !expect(line, pos, ",\"lat\":") ||
-        !parseUint(line, pos, row.latency) ||
-        !expect(line, pos, ",\"segs\":[")) {
-        return false;
-    }
-    if (!expect(line, pos, "]")) {
-        for (;;) {
-            SpanSegRow seg;
-            if (!parseSegObject(line, pos, seg))
-                return false;
-            row.segs.push_back(std::move(seg));
-            if (expect(line, pos, "]"))
-                break;
-            if (!expect(line, pos, ","))
-                return false;
-        }
-    }
-    return expect(line, pos, "}") && pos == line.size();
+    JsonCursor cur(line);
+    return cur.expect("{\"span\":") && cur.u64(row.id) &&
+           cur.expect(",\"tn\":") && cur.u32(row.tenant) &&
+           cur.expect(",\"t\":") && cur.u32(row.thread) &&
+           cur.expect(",\"segs_n\":") && cur.u32(row.segments) &&
+           cur.expect(",\"seed\":") && cur.u64(row.seed) &&
+           cur.expect(",\"issued\":") && cur.u64(row.issued) &&
+           cur.expect(",\"started\":") && cur.u64(row.started) &&
+           cur.expect(",\"completed\":") && cur.u64(row.completed) &&
+           cur.expect(",\"lat\":") && cur.u64(row.latency) &&
+           cur.expect(",\"segs\":") && cur.list([&] {
+               SpanSegRow seg;
+               if (!parseSegObject(cur, seg))
+                   return false;
+               row.segs.push_back(std::move(seg));
+               return true;
+           }) &&
+           cur.expect("}") && cur.atEnd();
 }
 
 SpansFile
@@ -258,19 +117,16 @@ SpansFile
 parseSpansDocument(const std::string &text)
 {
     SpansFile file;
-    std::size_t line_start = 0;
-    std::size_t line_no = 0;
+    JsonlLines lines(text);
+    std::string_view line;
     bool have_meta = false;
-    while (line_start < text.size()) {
-        std::size_t line_end = text.find('\n', line_start);
-        if (line_end == std::string::npos)
-            line_end = text.size();
-        const std::string_view line(text.data() + line_start,
-                                    line_end - line_start);
-        line_start = line_end + 1;
-        ++line_no;
+    while (lines.next(line)) {
         if (line.empty())
             continue;
+        const auto fail = [&](const char *what) {
+            return failParse("line " + std::to_string(lines.lineNumber()) +
+                             ": " + what);
+        };
         if (!have_meta) {
             if (!parseMetaLine(line, file))
                 return failParse("line 1: malformed meta line");
@@ -279,23 +135,17 @@ parseSpansDocument(const std::string &text)
         }
         if (line.substr(0, 9) == "{\"phase\":") {
             SpanPhaseRow row;
-            if (!parsePhaseLine(line, row)) {
-                return failParse("line " + std::to_string(line_no) +
-                                 ": malformed phase row");
-            }
+            if (!parsePhaseLine(line, row))
+                return fail("malformed phase row");
             // Phase rows precede exemplars in the writer's layout.
-            if (!file.exemplars.empty()) {
-                return failParse("line " + std::to_string(line_no) +
-                                 ": phase row after exemplar rows");
-            }
+            if (!file.exemplars.empty())
+                return fail("phase row after exemplar rows");
             file.phases.push_back(std::move(row));
             continue;
         }
         SpanRow row;
-        if (!parseSpanLine(line, row)) {
-            return failParse("line " + std::to_string(line_no) +
-                             ": malformed span row");
-        }
+        if (!parseSpanLine(line, row))
+            return fail("malformed span row");
         file.exemplars.push_back(std::move(row));
     }
     if (!have_meta)
@@ -307,15 +157,10 @@ parseSpansDocument(const std::string &text)
 SpansFile
 loadSpansFile(const std::string &path)
 {
-    std::FILE *handle = std::fopen(path.c_str(), "rb");
-    if (handle == nullptr)
-        return failParse("cannot open '" + path + "'");
     std::string text;
-    char buffer[1 << 16];
-    std::size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), handle)) > 0)
-        text.append(buffer, got);
-    std::fclose(handle);
+    std::string error;
+    if (!readTextFile(path, text, error))
+        return failParse(error);
     return parseSpansDocument(text);
 }
 

@@ -6,10 +6,8 @@
 #include "sim/trace_diff.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
-#include "sim/logging.hh"
+#include "sim/json.hh"
 
 namespace oscar
 {
@@ -18,16 +16,10 @@ std::vector<std::string>
 splitTraceLines(const std::string &text)
 {
     std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        if (end == std::string::npos) {
-            lines.push_back(text.substr(start));
-            break;
-        }
-        lines.push_back(text.substr(start, end - start));
-        start = end + 1;
-    }
+    JsonlLines cursor(text);
+    std::string_view line;
+    while (cursor.next(line))
+        lines.emplace_back(line);
     return lines;
 }
 
@@ -69,33 +61,6 @@ diffTraceText(const std::string &left, const std::string &right,
 {
     return diffTraceLines(splitTraceLines(left), splitTraceLines(right),
                           context_lines);
-}
-
-namespace
-{
-
-std::string
-readWholeFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        oscar_warn("cannot read trace file '%s'; treating as empty",
-                   path.c_str());
-        return "";
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-} // namespace
-
-TraceDiffReport
-diffTraceFiles(const std::string &left_path,
-               const std::string &right_path, unsigned context_lines)
-{
-    return diffTraceText(readWholeFile(left_path),
-                         readWholeFile(right_path), context_lines);
 }
 
 std::string

@@ -60,16 +60,6 @@ TraceDiffReport diffTraceText(const std::string &left,
                               const std::string &right,
                               unsigned context_lines = 3);
 
-/**
- * Compare two trace files.
- *
- * A missing/unreadable file counts as an empty trace and a warning is
- * issued, so the diff still reports a divergence rather than a crash.
- */
-TraceDiffReport diffTraceFiles(const std::string &left_path,
-                               const std::string &right_path,
-                               unsigned context_lines = 3);
-
 } // namespace oscar
 
 #endif // OSCAR_SIM_TRACE_DIFF_HH_

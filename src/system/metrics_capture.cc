@@ -5,30 +5,14 @@
 
 #include "system/metrics_capture.hh"
 
-#include <cstdio>
-
-#include "core/offload_policy.hh"
-#include "core/run_length_predictor.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
-#include "workload/workload.hh"
 
 namespace oscar
 {
 
 namespace
 {
-
-const char *
-predictorShortName(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::Cam: return "cam";
-      case PredictorKind::DirectMapped: return "direct-mapped";
-      case PredictorKind::Infinite: return "infinite";
-    }
-    return "?";
-}
 
 /** Counter columns carry exact uint64 values; emit them as integers. */
 void
@@ -88,19 +72,7 @@ metricsMetaJson(const MetricRegistry &registry,
                 ? static_cast<std::int64_t>(-1)
                 : static_cast<std::int64_t>(mark));
     w.key("config");
-    w.beginObject();
-    w.field("workload", workloadName(config.workload));
-    w.field("policy", policyShortName(config.policy));
-    w.field("predictor", predictorShortName(config.predictor));
-    w.field("user_cores", config.userCores);
-    w.field("offload_enabled", config.offloadEnabled);
-    w.field("dynamic_threshold", config.dynamicThreshold);
-    w.field("static_threshold", config.staticThreshold);
-    w.field("migration_one_way_cycles", config.migrationOneWayCycles);
-    w.field("seed", config.seed);
-    w.field("warmup_instructions", config.warmupInstructions);
-    w.field("measure_instructions", config.measureInstructions);
-    w.endObject();
+    writeConfigJson(w, config, ConfigJsonFields::ThroughHorizon);
     w.key("series");
     w.beginArray();
     for (const MetricRegistry::Series &s : registry.series()) {
@@ -132,20 +104,8 @@ bool
 writeMetricsFile(const MetricRegistry &registry,
                  const SystemConfig &config, const std::string &path)
 {
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    if (file == nullptr) {
-        oscar_warn("cannot open metrics file '%s'", path.c_str());
-        return false;
-    }
-    const std::string doc = metricsDocument(registry, config);
-    const std::size_t written =
-        std::fwrite(doc.data(), 1, doc.size(), file);
-    std::fclose(file);
-    if (written != doc.size()) {
-        oscar_warn("short write to metrics file '%s'", path.c_str());
-        return false;
-    }
-    return true;
+    return writeTextFile(path, metricsDocument(registry, config),
+                         "metrics");
 }
 
 } // namespace oscar

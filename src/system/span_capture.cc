@@ -5,32 +5,11 @@
 
 #include "system/span_capture.hh"
 
-#include <cstdio>
-
-#include "core/offload_policy.hh"
-#include "core/run_length_predictor.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
-#include "workload/workload.hh"
 
 namespace oscar
 {
-
-namespace
-{
-
-const char *
-predictorShortName(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::Cam: return "cam";
-      case PredictorKind::DirectMapped: return "direct-mapped";
-      case PredictorKind::Infinite: return "infinite";
-    }
-    return "?";
-}
-
-} // namespace
 
 std::string
 spansMetaJson(const SpanResults &results, const SystemConfig &config)
@@ -42,17 +21,7 @@ spansMetaJson(const SpanResults &results, const SystemConfig &config)
     w.field("exemplar_capacity",
             static_cast<std::uint64_t>(results.exemplarCapacity));
     w.key("config");
-    w.beginObject();
-    w.field("workload", workloadName(config.workload));
-    w.field("policy", policyShortName(config.policy));
-    w.field("predictor", predictorShortName(config.predictor));
-    w.field("user_cores", config.userCores);
-    w.field("offload_enabled", config.offloadEnabled);
-    w.field("dynamic_threshold", config.dynamicThreshold);
-    w.field("static_threshold", config.staticThreshold);
-    w.field("migration_one_way_cycles", config.migrationOneWayCycles);
-    w.field("seed", config.seed);
-    w.endObject();
+    writeConfigJson(w, config, ConfigJsonFields::ThroughSeed);
     w.key("phases");
     w.beginArray();
     for (std::size_t p = 0; p < kNumSpanPhases; ++p)
@@ -139,20 +108,7 @@ bool
 writeSpansFile(const SpanResults &results, const SystemConfig &config,
                const std::string &path)
 {
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    if (file == nullptr) {
-        oscar_warn("cannot open spans file '%s'", path.c_str());
-        return false;
-    }
-    const std::string doc = spansDocument(results, config);
-    const std::size_t written =
-        std::fwrite(doc.data(), 1, doc.size(), file);
-    std::fclose(file);
-    if (written != doc.size()) {
-        oscar_warn("short write to spans file '%s'", path.c_str());
-        return false;
-    }
-    return true;
+    return writeTextFile(path, spansDocument(results, config), "spans");
 }
 
 } // namespace oscar

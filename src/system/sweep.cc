@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <future>
 #include <map>
 #include <memory>
@@ -30,55 +29,6 @@ namespace oscar
 
 namespace
 {
-
-/** Name of the predictor organization for reports. */
-const char *
-predictorName(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::Cam: return "cam";
-      case PredictorKind::DirectMapped: return "direct-mapped";
-      case PredictorKind::Infinite: return "infinite";
-    }
-    return "?";
-}
-
-void
-writeConfigJson(JsonWriter &w, const SystemConfig &config)
-{
-    w.beginObject();
-    w.field("workload", workloadName(config.workload));
-    w.field("policy", policyShortName(config.policy));
-    w.field("predictor", predictorName(config.predictor));
-    w.field("user_cores", config.userCores);
-    w.field("offload_enabled", config.offloadEnabled);
-    w.field("dynamic_threshold", config.dynamicThreshold);
-    w.field("static_threshold", config.staticThreshold);
-    w.field("migration_one_way_cycles", config.migrationOneWayCycles);
-    w.field("seed", config.seed);
-    w.field("warmup_instructions", config.warmupInstructions);
-    w.field("measure_instructions", config.measureInstructions);
-    // The paper's one-OS-core machine emits no topology block, so
-    // every pre-existing artifact stays byte-identical.
-    if (config.offloadEnabled && !config.topology.isDefault()) {
-        w.key("topology");
-        w.beginObject();
-        w.field("os_cores", config.topology.osCores);
-        w.field("numa_nodes", config.topology.numaNodes);
-        w.field("placement",
-                osPlacementName(config.topology.placement));
-        w.field("dispatch",
-                osDispatchPolicyName(config.topology.dispatch));
-        w.field("intra_node_hop_cycles",
-                config.topology.intraNodeHopCycles);
-        w.field("inter_node_hop_cycles",
-                config.topology.interNodeHopCycles);
-        w.field("spill_depth", static_cast<std::uint64_t>(
-                                   config.topology.spillDepth));
-        w.endObject();
-    }
-    w.endObject();
-}
 
 void
 writeResultsJson(JsonWriter &w, const SweepPointResult &point)
@@ -849,22 +799,7 @@ SweepReport::toJson() const
 bool
 SweepReport::writeTo(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        oscar_warn("cannot open sweep report file '%s'", path.c_str());
-        return false;
-    }
-    const std::string doc = toJson();
-    out.write(doc.data(),
-              static_cast<std::streamsize>(doc.size()));
-    out << '\n';
-    out.flush();
-    if (!out) {
-        oscar_warn("short write on sweep report file '%s'",
-                   path.c_str());
-        return false;
-    }
-    return true;
+    return writeTextFile(path, toJson() + '\n', "sweep report");
 }
 
 std::string

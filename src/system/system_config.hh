@@ -157,6 +157,28 @@ struct SystemConfig
     void validate() const;
 };
 
+class JsonWriter;
+
+/** How much of a configuration an artifact records. */
+enum class ConfigJsonFields : std::uint8_t
+{
+    /** Workload, policy, predictor, cores, thresholds, seed. */
+    ThroughSeed,
+    /** ThroughSeed plus the warmup and measure horizons. */
+    ThroughHorizon,
+    /** ThroughHorizon plus a topology block off the one-OS-core
+     *  default. */
+    Full,
+};
+
+/**
+ * Emit `config` as one JSON object with keys in a fixed order. Each
+ * artifact schema pins its own field subset, so documents written
+ * before a field was added keep their exact bytes.
+ */
+void writeConfigJson(JsonWriter &w, const SystemConfig &config,
+                     ConfigJsonFields fields = ConfigJsonFields::Full);
+
 } // namespace oscar
 
 #endif // OSCAR_SYSTEM_SYSTEM_CONFIG_HH_

@@ -3,15 +3,18 @@
  * Tests for the JSON emission helpers: escaping of control and quote
  * characters, UTF-8 passthrough, numeric round-tripping (including
  * negative zero and near-overflow magnitudes), locale independence,
- * and writer structure.
+ * writer structure, the strict JSONL cursor and line iterator, and
+ * whole-file I/O.
  */
 
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "sim/json.hh"
 
@@ -183,6 +186,97 @@ TEST(JsonWriter, KeysAreEscaped)
     w.field("we\"ird\n", 1);
     w.endObject();
     EXPECT_EQ(w.str(), "{\"we\\\"ird\\n\":1}");
+}
+
+// ---------------------------------------------------------------------
+// Reading
+
+TEST(JsonCursor, ReadsWriterLayoutInOrder)
+{
+    JsonCursor cur("{\"s\":\"ab\",\"u\":7,\"i\":-1,\"d\":0.25,"
+                   "\"c\":{\"x\":\"}\"},\"l\":[1,2]}");
+    std::string s;
+    std::uint64_t u = 0;
+    std::int64_t i = 0;
+    double d = 0;
+    std::vector<std::uint64_t> list;
+    ASSERT_TRUE(cur.expect("{\"s\":") && cur.string(s) &&
+                cur.expect(",\"u\":") && cur.u64(u) &&
+                cur.expect(",\"i\":") && cur.i64(i, -1) &&
+                cur.expect(",\"d\":") && cur.number(d) &&
+                cur.expect(",\"c\":") && cur.skipObject() &&
+                cur.expect(",\"l\":") && cur.list([&] {
+                    list.push_back(0);
+                    return cur.u64(list.back());
+                }) &&
+                cur.expect("}"));
+    EXPECT_TRUE(cur.atEnd());
+    EXPECT_EQ(s, "ab");
+    EXPECT_EQ(u, 7u);
+    EXPECT_EQ(i, -1);
+    EXPECT_EQ(d, 0.25);
+    EXPECT_EQ(list, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(JsonCursor, RejectsOutOfRangeAndNonJsonNumbers)
+{
+    std::uint64_t u = 0;
+    std::uint32_t u32 = 0;
+    std::int64_t i = 0;
+    double d = 0;
+    std::string s;
+    EXPECT_FALSE(JsonCursor("-1").u64(u));
+    EXPECT_FALSE(JsonCursor("18446744073709551616").u64(u));
+    EXPECT_FALSE(JsonCursor("4294967296").u32(u32));
+    EXPECT_FALSE(JsonCursor("9223372036854775808").i64(i, 0));
+    EXPECT_FALSE(JsonCursor("-2").i64(i, -1));
+    EXPECT_FALSE(JsonCursor("nan").number(d));
+    EXPECT_FALSE(JsonCursor("inf").number(d));
+    EXPECT_FALSE(JsonCursor("1e999").number(d));
+    EXPECT_FALSE(JsonCursor("").number(d));
+    EXPECT_FALSE(JsonCursor("\"open").string(s));
+    EXPECT_FALSE(JsonCursor("{\"a\":{}").skipObject());
+    JsonCursor trailing("[1,]");
+    EXPECT_FALSE(trailing.list([&] { return trailing.u64(u); }));
+}
+
+TEST(JsonlLines, SplitsOnNewlinesWithOptionalFinalNewline)
+{
+    for (const char *text : {"a\n\nb", "a\n\nb\n"}) {
+        JsonlLines lines(text);
+        std::vector<std::string> seen;
+        std::string_view line;
+        while (lines.next(line))
+            seen.emplace_back(line);
+        EXPECT_EQ(seen, (std::vector<std::string>{"a", "", "b"}));
+        EXPECT_EQ(lines.lineNumber(), 3u);
+    }
+    std::string_view line;
+    EXPECT_FALSE(JsonlLines("").next(line));
+}
+
+TEST(TextFile, WriteThenReadRoundTrips)
+{
+    const std::string path = testing::TempDir() + "json_text_file.txt";
+    const std::string doc("a\nb\0c", 5);
+    ASSERT_TRUE(writeTextFile(path, doc, "test"));
+    std::string text;
+    std::string error;
+    ASSERT_TRUE(readTextFile(path, text, error)) << error;
+    EXPECT_EQ(text, doc);
+    std::remove(path.c_str());
+}
+
+TEST(TextFile, ReportsOpenAndReadFailures)
+{
+    std::string text;
+    std::string error;
+    EXPECT_FALSE(readTextFile("/no/such/file", text, error));
+    EXPECT_NE(error.find("cannot open"), std::string::npos);
+    // A directory opens but cannot be read.
+    EXPECT_FALSE(readTextFile(testing::TempDir(), text, error));
+    EXPECT_NE(error.find("cannot read"), std::string::npos);
+    EXPECT_FALSE(writeTextFile("/no/such/dir/file", "x", "test"));
 }
 
 } // namespace

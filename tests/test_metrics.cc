@@ -291,6 +291,14 @@ TEST(MetricsValidator, FlagsBrokenInvariants)
     MetricsFile broken_schema = file;
     broken_schema.schema = "oscar.metrics.v0";
     EXPECT_FALSE(validateMetricsFile(broken_schema).empty());
+
+    // -1 is the only negative measure_sample ("never left warmup").
+    std::string doc = metricsDocument(registry, smallConfig());
+    const std::string mark = "\"measure_sample\":-1,";
+    const std::size_t at = doc.find(mark);
+    ASSERT_NE(at, std::string::npos);
+    doc.replace(at, mark.size(), "\"measure_sample\":-7,");
+    EXPECT_FALSE(validateMetricsFile(parseMetricsDocument(doc)).empty());
 }
 
 // ---------------------------------------------------------------------

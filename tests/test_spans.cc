@@ -337,6 +337,25 @@ TEST(Spans, ValidatorCatchesCorruption)
         parseSpansDocument(doc.substr(0, span_at));
     ASSERT_TRUE(truncated.ok) << truncated.error;
     EXPECT_FALSE(validateSpansFile(truncated).empty());
+
+    // Service and queue ids above INT64_MAX (or negative) must not
+    // wrap into the "absent" marker.
+    const std::size_t sv_at = doc.find("\"sv\":");
+    ASSERT_NE(sv_at, std::string::npos);
+    const std::size_t seg_end = doc.find('}', sv_at);
+    std::string good_q = doc;
+    good_q.insert(seg_end, ",\"q\":1");
+    ASSERT_TRUE(parseSpansDocument(good_q).ok);
+    for (const char *id : {"9223372036854775808", "-1"}) {
+        std::string bad_sv = doc;
+        bad_sv.replace(sv_at + 5, seg_end - sv_at - 5, id);
+        EXPECT_FALSE(validateSpansFile(parseSpansDocument(bad_sv)).empty())
+            << "sv " << id;
+        std::string bad_q = doc;
+        bad_q.insert(seg_end, std::string(",\"q\":") + id);
+        EXPECT_FALSE(validateSpansFile(parseSpansDocument(bad_q)).empty())
+            << "q " << id;
+    }
 }
 
 // ---------------------------------------------------------------------

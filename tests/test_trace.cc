@@ -288,20 +288,6 @@ TEST(TraceDiff, SplitHandlesMissingFinalNewline)
     EXPECT_TRUE(splitTraceLines("").empty());
 }
 
-TEST(TraceDiff, MissingFileDiffsAsEmptyTrace)
-{
-    const std::string path = tempPath("trace_diff_present.jsonl");
-    {
-        std::ofstream out(path);
-        out << "x\n";
-    }
-    const TraceDiffReport report =
-        diffTraceFiles(path, tempPath("trace_diff_absent.jsonl"));
-    EXPECT_FALSE(report.identical);
-    EXPECT_EQ(report.rightLineCount, 0u);
-    std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------------
 // Replay verification
 
