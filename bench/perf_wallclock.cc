@@ -15,7 +15,11 @@
  *    SI/DI/HI at the Conservative and Aggressive migration design
  *    points over apache + specjbb — run through ParallelSweepRunner
  *    with one worker so the single-thread simulation hot loop is what
- *    is measured. Baselines and SI profiles are warmed before timing.
+ *    is measured. Baselines and SI profiles are warmed before timing;
+ *    every repetition pays its warm-ups and generates each reference
+ *    stream once (see Methodology). The record carries the
+ *    deterministic counts of references generated and replayed per
+ *    repetition.
  *  - serving_tiny: the `serving_tail_latency --tiny` grid — SI/DI/HI
  *    at two migration design points under two offered loads — so the
  *    committed baseline covers the request-serving layer.
@@ -41,7 +45,11 @@
  * Methodology: every scenario runs `--warmup` untimed iterations and
  * then `--reps` timed repetitions; the report carries each run plus
  * the median and the median absolute deviation (MAD), which is robust
- * to the occasional scheduling hiccup of a shared CI box.
+ * to the occasional scheduling hiccup of a shared CI box. Warm
+ * snapshots and reference tapes live only as long as one
+ * ParallelSweepRunner::run(), so each repetition of a sweep scenario
+ * (fig5_policy_points, serving_tiny, numa_tiny) pays its warm-ups;
+ * only the baseline cache carries over between repetitions.
  *
  * Usage:
  *   perf_wallclock [--reps N] [--warmup N] [--json PATH]
@@ -49,7 +57,10 @@
  *                  [--fail-over FACTOR] [--only NAMES] [--quick]
  *
  * `--only a,b` runs just the named scenarios (for iterating on one
- * hot path without paying for the full suite). `--compare` prints a
+ * hot path without paying for the full suite); an unknown name is a
+ * usage error, as are a `--reps`/`--warmup` that is not a whole
+ * non-negative number and a `--fail-over` that is not a finite
+ * factor above 0 (exit status 2). `--compare` prints a
  * per-scenario table (median ± MAD, percent delta, speedup) against a
  * previous report, e.g. the committed BENCH_perf.json; `--summary`
  * appends the same table as markdown (for the CI job summary). The
@@ -65,6 +76,7 @@
  */
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -258,10 +270,11 @@ runFig5Scenario(const PerfOptions &opts)
     // variant simulations, i.e. the hot loop under test.
     ParallelSweepRunner runner({/*jobs=*/1});
     std::uint64_t invocations = 0;
+    SweepRunStats stats;
     bool all_ok = true;
     ScenarioResult result =
         measure("fig5_policy_points", opts, [&] {
-            const auto results = runner.run(points);
+            const auto results = runner.run(points, stats);
             invocations = 0;
             for (const SweepPointResult &point : results) {
                 all_ok = all_ok && point.ok;
@@ -271,6 +284,10 @@ runFig5Scenario(const PerfOptions &opts)
     result.meta.emplace_back("points", std::to_string(points.size()));
     result.meta.emplace_back("invocations",
                              std::to_string(invocations));
+    result.meta.emplace_back("refs_generated",
+                             std::to_string(stats.generatedRefs));
+    result.meta.emplace_back("refs_replayed",
+                             std::to_string(stats.replayedRefs));
     result.meta.emplace_back("all_ok", all_ok ? "true" : "false");
     return result;
 }
@@ -800,6 +817,59 @@ printComparison(const std::vector<ScenarioResult> &scenarios,
     return ok;
 }
 
+/** One named scenario of the suite, in report order. */
+struct Scenario
+{
+    const char *name;
+    ScenarioResult (*run)(const PerfOptions &opts);
+};
+
+const std::vector<Scenario> &
+scenarioTable()
+{
+    static const std::vector<Scenario> table = {
+        {"fig5_policy_points", runFig5Scenario},
+        {"serving_tiny", runServingTinyScenario},
+        {"spans_overhead", runSpansOverheadScenario},
+        {"numa_tiny", runNumaTinyScenario},
+        {"exec_hot", runExecHotScenario},
+        {"trace_stream", runTraceScenario},
+        {"metrics_stream", runMetricsScenario},
+        {"predictor_cam_hot",
+         [](const PerfOptions &opts) {
+             return runPredictorScenario("predictor_cam_hot", opts,
+                                         zipfAStateStream(4096, 80));
+         }},
+        {"predictor_cam_churn",
+         [](const PerfOptions &opts) {
+             return runPredictorScenario("predictor_cam_churn", opts,
+                                         uniformAStateStream(4096, 4096));
+         }},
+    };
+    return table;
+}
+
+[[noreturn]] void
+usageError(const char *format, const char *flag, const std::string &value)
+{
+    std::fprintf(stderr, format, flag, value.c_str());
+    std::fputc('\n', stderr);
+    std::exit(2);
+}
+
+/** A whole non-negative decimal count, else a usage error. */
+int
+parseCount(const char *flag, const std::string &text)
+{
+    char *end = nullptr;
+    const unsigned long value = std::strtoul(text.c_str(), &end, 10);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || value > 1'000'000)
+        usageError("%s expects a whole number in [0, 1000000], got '%s'",
+                   flag, text);
+    return static_cast<int>(value);
+}
+
 PerfOptions
 parseArgs(int argc, char **argv)
 {
@@ -814,10 +884,9 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--reps") {
-            opts.reps = std::max(1, std::atoi(next("--reps").c_str()));
+            opts.reps = std::max(1, parseCount("--reps", next("--reps")));
         } else if (arg == "--warmup") {
-            opts.warmup =
-                std::max(0, std::atoi(next("--warmup").c_str()));
+            opts.warmup = parseCount("--warmup", next("--warmup"));
         } else if (arg == "--json") {
             opts.jsonPath = next("--json");
         } else if (arg == "--compare") {
@@ -829,14 +898,30 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--summary") {
             opts.summaryPath = next("--summary");
         } else if (arg == "--fail-over") {
-            opts.failOver = std::strtod(
-                next("--fail-over").c_str(), nullptr);
+            // A factor that parses to 0 or NaN would silently switch
+            // the gate off, so only a finite factor above 0 is one.
+            const std::string text = next("--fail-over");
+            char *end = nullptr;
+            opts.failOver = std::strtod(text.c_str(), &end);
+            if (text.empty() || *end != '\0' ||
+                !std::isfinite(opts.failOver) || opts.failOver <= 0.0)
+                usageError("%s expects a finite factor above 0, got '%s'",
+                           "--fail-over", text);
         } else if (arg == "--only") {
             std::stringstream names(next("--only"));
             std::string name;
-            while (std::getline(names, name, ','))
-                if (!name.empty())
-                    opts.only.push_back(name);
+            while (std::getline(names, name, ',')) {
+                if (name.empty())
+                    continue;
+                const auto &table = scenarioTable();
+                if (std::none_of(table.begin(), table.end(),
+                                 [&](const Scenario &s) {
+                                     return name == s.name;
+                                 }))
+                    usageError("%s names no scenario: '%s'", "--only",
+                               name);
+                opts.only.push_back(name);
+            }
         } else if (arg == "--quick") {
             opts.reps = 3;
             opts.warmup = 0;
@@ -868,27 +953,10 @@ main(int argc, char **argv)
                 kPerfSchema);
 
     std::vector<ScenarioResult> scenarios;
-    if (opts.selected("fig5_policy_points"))
-        scenarios.push_back(runFig5Scenario(opts));
-    if (opts.selected("serving_tiny"))
-        scenarios.push_back(runServingTinyScenario(opts));
-    if (opts.selected("spans_overhead"))
-        scenarios.push_back(runSpansOverheadScenario(opts));
-    if (opts.selected("numa_tiny"))
-        scenarios.push_back(runNumaTinyScenario(opts));
-    if (opts.selected("exec_hot"))
-        scenarios.push_back(runExecHotScenario(opts));
-    if (opts.selected("trace_stream"))
-        scenarios.push_back(runTraceScenario(opts));
-    if (opts.selected("metrics_stream"))
-        scenarios.push_back(runMetricsScenario(opts));
-    if (opts.selected("predictor_cam_hot"))
-        scenarios.push_back(runPredictorScenario(
-            "predictor_cam_hot", opts, zipfAStateStream(4096, 80)));
-    if (opts.selected("predictor_cam_churn"))
-        scenarios.push_back(runPredictorScenario(
-            "predictor_cam_churn", opts,
-            uniformAStateStream(4096, 4096)));
+    for (const Scenario &scenario : scenarioTable()) {
+        if (opts.selected(scenario.name))
+            scenarios.push_back(scenario.run(opts));
+    }
 
     if (!opts.jsonPath.empty()) {
         std::ofstream out(opts.jsonPath,

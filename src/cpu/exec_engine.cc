@@ -62,26 +62,6 @@ SegmentProfile::finalize()
 namespace
 {
 
-/**
- * References per accessBatch block. 4096 packed words are 32 KiB —
- * resident in host L1/L2 while a block is generated and then probed —
- * and large enough that per-block costs (buffer bookkeeping, stat
- * flushes) vanish against the per-reference work.
- */
-constexpr std::size_t kBatchRefs = 4096;
-
-/**
- * Per-thread block buffer. execute() is a leaf — nothing below it
- * re-enters the engine — so one buffer per thread suffices, and
- * parallel sweep workers never share it.
- */
-std::vector<std::uint64_t> &
-batchBuffer()
-{
-    thread_local std::vector<std::uint64_t> buffer;
-    return buffer;
-}
-
 thread_local bool referenceModeFlag = false;
 
 } // namespace
@@ -98,6 +78,13 @@ ExecEngine::referenceMode()
     return referenceModeFlag;
 }
 
+std::uint64_t *
+ExecEngine::blockBuffer()
+{
+    thread_local std::vector<std::uint64_t> buffer(kBatchRefs);
+    return buffer.data();
+}
+
 ExecResult
 ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
                     InstCount instructions, const SegmentProfile &profile,
@@ -107,66 +94,10 @@ ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
         return executeReference(mem, core, ctx, instructions, profile,
                                 rng);
     }
-    oscar_assert(profile.finalized());
-    ExecResult result;
-    if (instructions == 0)
-        return result;
-
-    const FastBound &burst_bound = profile.burstBound();
-    double fetch_accum = 0.0;
-    const double fetch_rate = 1.0 / profile.instrPerFetch();
-    AddressRegion *const code = profile.code();
-
-    std::vector<std::uint64_t> &refs = batchBuffer();
-    refs.resize(kBatchRefs);
-    std::uint64_t *const block = refs.data();
-    std::uint64_t *const block_end = block + kBatchRefs;
-    std::uint64_t *out = block;
-
-    const auto flush = [&] {
-        result.cycles += mem.accessBatch(
-            core, ctx, block, static_cast<std::size_t>(out - block));
-        out = block;
-    };
-
-    // Same loop structure and — critically — the same RNG draw
-    // sequence as executeReference(); the only difference is that
-    // references are packed into a block instead of probed one at a
-    // time. A block may flush mid-burst: probing is side-effect-free
-    // with respect to generation, so only the block boundary moves.
-    InstCount remaining = instructions;
-    while (remaining > 0) {
-        InstCount burst = 1 + rng.nextBoundedFast(burst_bound);
-        if (burst > remaining)
-            burst = remaining;
-        result.cycles += burst;
-        remaining -= burst;
-
-        fetch_accum += static_cast<double>(burst) * fetch_rate;
-        while (fetch_accum >= 1.0) {
-            fetch_accum -= 1.0;
-            *out++ = PackedRef::make(code->nextAccess(rng),
-                                     PackedRef::kInstrFetch);
-            ++result.fetches;
-            if (out == block_end)
-                flush();
-        }
-
-        if (remaining == 0 || !profile.hasData())
-            continue;
-
-        const RegionAccess &target = profile.sampleData(rng);
-        const bool is_write = rng.nextBoolFast(target.writeThresh);
-        *out++ = PackedRef::make(target.region->nextAccess(rng),
-                                 is_write ? PackedRef::kWrite
-                                          : PackedRef::kRead);
-        ++result.dataAccesses;
-        if (out == block_end)
-            flush();
-    }
-    if (out != block)
-        flush();
-    return result;
+    return draw(instructions, profile, rng, blockBuffer(),
+                [&](const std::uint64_t *refs, std::size_t count) {
+                    return mem.accessBatch(core, ctx, refs, count);
+                });
 }
 
 ExecResult

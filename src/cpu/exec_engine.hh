@@ -126,22 +126,114 @@ struct ExecResult
  * references against a core's hierarchy.
  *
  * Two implementations exist. execute() is the production batched
- * kernel: it generates blocks of packed references from the RNG, then
- * runs each block through MemorySystem::accessBatch. executeReference()
- * is the original one-reference-at-a-time loop, kept verbatim as the
- * behavioural reference (the pattern reference_cache.hh /
- * reference_directory.hh established). The two are interchangeable —
- * identical ExecResult, RNG stream position, memory/directory state
- * and statistics — because reference *generation* never depends on
- * access outcomes: every RNG draw in the loop is conditioned only on
- * the profile and the regions' own generator state, so hoisting
- * generation ahead of the probes reorders nothing observable. The
- * randomized differential test in tests/test_exec_batch.cc holds the
- * two paths together.
+ * kernel: it generates blocks of packed references from the RNG
+ * (draw()), then runs each block through MemorySystem::accessBatch.
+ * executeReference() is the original one-reference-at-a-time loop,
+ * kept verbatim as the behavioural reference (the pattern
+ * reference_cache.hh / reference_directory.hh established). The two
+ * are interchangeable — identical ExecResult, RNG stream position,
+ * memory/directory state and statistics — because reference
+ * *generation* never depends on access outcomes: every RNG draw in the
+ * loop is conditioned only on the profile and the regions' own
+ * generator state, so hoisting generation ahead of the probes reorders
+ * nothing observable. The randomized differential test in
+ * tests/test_exec_batch.cc holds the two paths together. The same
+ * independence lets a reference tape (system/reference_tape.hh) run
+ * draw() once per stream and replay its blocks into many hierarchies.
  */
 class ExecEngine
 {
   public:
+    /**
+     * References per accessBatch block. 4096 packed words are 32 KiB —
+     * resident in host L1/L2 while a block is generated and then
+     * probed — and large enough that per-block costs (buffer
+     * bookkeeping, stat flushes) vanish against the per-reference work.
+     */
+    static constexpr std::size_t kBatchRefs = 4096;
+
+    /**
+     * The segment draw loop: generate a segment's packed references
+     * (see PackedRef) in blocks of at most kBatchRefs and hand each
+     * block to `sink(const std::uint64_t *refs, std::size_t count)`,
+     * which returns the stall cycles it charges. A block may end
+     * mid-burst; only the block boundary moves, never a draw.
+     *
+     * @param block Scratch for one block (kBatchRefs words).
+     * @return The segment's counts; cycles are the instructions plus
+     *         every stall the sink returned.
+     */
+    template <typename Sink>
+    static ExecResult
+    draw(InstCount instructions, const SegmentProfile &profile, Rng &rng,
+         std::uint64_t *block, Sink &&sink)
+    {
+        oscar_assert(profile.finalized());
+        ExecResult result;
+        if (instructions == 0)
+            return result;
+
+        const FastBound &burst_bound = profile.burstBound();
+        double fetch_accum = 0.0;
+        const double fetch_rate = 1.0 / profile.instrPerFetch();
+        AddressRegion *const code = profile.code();
+        std::uint64_t *const block_end = block + kBatchRefs;
+        std::uint64_t *out = block;
+
+        const auto flush = [&] {
+            result.cycles +=
+                sink(static_cast<const std::uint64_t *>(block),
+                     static_cast<std::size_t>(out - block));
+            out = block;
+        };
+
+        // Same loop structure and — critically — the same RNG draw
+        // sequence as executeReference(); the only difference is that
+        // references are packed into a block instead of probed one at
+        // a time.
+        InstCount remaining = instructions;
+        while (remaining > 0) {
+            InstCount burst = 1 + rng.nextBoundedFast(burst_bound);
+            if (burst > remaining)
+                burst = remaining;
+            result.cycles += burst;
+            remaining -= burst;
+
+            fetch_accum += static_cast<double>(burst) * fetch_rate;
+            while (fetch_accum >= 1.0) {
+                fetch_accum -= 1.0;
+                *out++ = PackedRef::make(code->nextAccess(rng),
+                                         PackedRef::kInstrFetch);
+                ++result.fetches;
+                if (out == block_end)
+                    flush();
+            }
+
+            if (remaining == 0 || !profile.hasData())
+                continue;
+
+            const RegionAccess &target = profile.sampleData(rng);
+            const bool is_write = rng.nextBoolFast(target.writeThresh);
+            *out++ = PackedRef::make(target.region->nextAccess(rng),
+                                     is_write ? PackedRef::kWrite
+                                              : PackedRef::kRead);
+            ++result.dataAccesses;
+            if (out == block_end)
+                flush();
+        }
+        if (out != block)
+            flush();
+        return result;
+    }
+
+    /**
+     * Per-thread kBatchRefs-word block. Its users — execute() and a
+     * tape's replay — are leaves (nothing below them re-enters the
+     * engine), so one buffer per thread suffices, and parallel sweep
+     * workers never share it.
+     */
+    static std::uint64_t *blockBuffer();
+
     /**
      * Execute a segment (batched kernel).
      *

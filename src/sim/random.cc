@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -103,6 +104,25 @@ Rng
 Rng::fork()
 {
     return Rng(next64());
+}
+
+std::uint64_t
+Rng::digest() const
+{
+    // splitmix64's finalizer, chained over every state field.
+    const auto mix = [](std::uint64_t h, std::uint64_t v) {
+        h ^= v + 0x9E3779B97F4A7C15ULL;
+        h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+        return h ^ (h >> 31);
+    };
+    std::uint64_t h = 0;
+    for (std::uint64_t word : state)
+        h = mix(h, word);
+    std::uint64_t gaussian = 0;
+    std::memcpy(&gaussian, &cachedGaussian, sizeof(gaussian));
+    h = mix(h, gaussian);
+    return mix(h, hasCachedGaussian ? 1 : 0);
 }
 
 AliasTable::AliasTable(const std::vector<double> &weights)

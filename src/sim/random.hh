@@ -254,6 +254,25 @@ class Rng
      */
     Rng fork();
 
+    /**
+     * 64-bit digest of the full state (generator and Gaussian cache):
+     * equal states give equal digests; distinct ones collide with
+     * probability ~2^-64.
+     */
+    std::uint64_t digest() const;
+
+    /** The 256-bit generator state (excludes the Gaussian cache). */
+    using Position = std::array<std::uint64_t, 4>;
+
+    /** Current generator state. */
+    const Position &position() const { return state; }
+
+    /**
+     * Jump to a recorded generator state, keeping the Gaussian cache:
+     * how a reference-tape replay lands where its draws would have.
+     */
+    void setPosition(const Position &position) { state = position; }
+
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "sim/logging.hh"
+#include "system/reference_tape.hh"
 
 namespace oscar
 {
@@ -110,11 +111,20 @@ ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
     return run(config, trace, metrics, nullptr);
 }
 
+namespace
+{
+
+/** Build and run a system, tape-bound when `tapes` has its stream. */
 SimResults
-ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
-                      MetricRegistry *metrics, SpanRecorder *spans)
+runBound(const SystemConfig &config, TraceSink *trace,
+         MetricRegistry *metrics, SpanRecorder *spans,
+         ReferenceTapeStore *tapes)
 {
     System system(config);
+    if (tapes != nullptr) {
+        if (std::shared_ptr<ReferenceTape> tape = tapes->acquire(config))
+            system.bindReferenceTape(std::move(tape));
+    }
     if (trace != nullptr)
         system.setTraceSink(trace);
     if (metrics != nullptr)
@@ -122,6 +132,23 @@ ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
     if (spans != nullptr)
         system.setSpanRecorder(spans);
     return system.run();
+}
+
+} // namespace
+
+SimResults
+ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
+                      MetricRegistry *metrics, SpanRecorder *spans)
+{
+    return runBound(config, trace, metrics, spans, nullptr);
+}
+
+SimResults
+ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
+                      MetricRegistry *metrics, SpanRecorder *spans,
+                      ReferenceTapeStore &tapes)
+{
+    return runBound(config, trace, metrics, spans, &tapes);
 }
 
 namespace
@@ -246,10 +273,10 @@ baselineCacheKey(const SystemConfig &baseline)
 std::mutex baselineMutex;
 std::map<std::string, std::shared_future<SimResults>> baselineCache;
 
-} // namespace
-
+/** The cached baseline of `config`, computed (tape-bound when
+ *  `tapes` is given) on a miss. */
 SimResults
-ExperimentRunner::baselineResults(const SystemConfig &config)
+cachedBaseline(const SystemConfig &config, ReferenceTapeStore *tapes)
 {
     const SystemConfig baseline = baselineVariant(config);
     const std::string key = baselineCacheKey(baseline);
@@ -271,7 +298,8 @@ ExperimentRunner::baselineResults(const SystemConfig &config)
 
     if (compute) {
         try {
-            promise.set_value(run(baseline));
+            promise.set_value(
+                runBound(baseline, nullptr, nullptr, nullptr, tapes));
         } catch (...) {
             // Propagate to every waiter, then forget the entry so a
             // later call can retry instead of replaying the failure.
@@ -281,6 +309,21 @@ ExperimentRunner::baselineResults(const SystemConfig &config)
         }
     }
     return future.get();
+}
+
+} // namespace
+
+SimResults
+ExperimentRunner::baselineResults(const SystemConfig &config)
+{
+    return cachedBaseline(config, nullptr);
+}
+
+SimResults
+ExperimentRunner::baselineResults(const SystemConfig &config,
+                                  ReferenceTapeStore &tapes)
+{
+    return cachedBaseline(config, &tapes);
 }
 
 SimResults

@@ -17,6 +17,8 @@
 namespace oscar
 {
 
+class ReferenceTapeStore;
+
 /**
  * Canned configurations and comparison runs.
  */
@@ -92,6 +94,16 @@ class ExperimentRunner
                           SpanRecorder *spans);
 
     /**
+     * As above, with the system bound to its stream's tape in `tapes`
+     * when the configuration is eligible (see
+     * system/reference_tape.hh); results and observer output are
+     * byte-identical either way.
+     */
+    static SimResults run(const SystemConfig &config, TraceSink *trace,
+                          MetricRegistry *metrics, SpanRecorder *spans,
+                          ReferenceTapeStore &tapes);
+
+    /**
      * Run a configuration and its uni-processor baseline with the same
      * seed, returning variant throughput / baseline throughput — the
      * normalized IPC of Figures 4 and 5.
@@ -110,6 +122,13 @@ class ExperimentRunner
      * normalize against the default-environment baseline.
      */
     static SimResults baselineResults(const SystemConfig &config);
+
+    /**
+     * As above; a baseline computed here (not found cached) replays
+     * its stream from `tapes` — the sweep runner's tape store.
+     */
+    static SimResults baselineResults(const SystemConfig &config,
+                                      ReferenceTapeStore &tapes);
 
     /**
      * Convenience overload: baseline for the given workload/seed with

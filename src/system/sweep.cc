@@ -5,8 +5,12 @@
 
 #include "system/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -21,6 +25,7 @@
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "system/metrics_capture.hh"
+#include "system/reference_tape.hh"
 #include "system/span_capture.hh"
 #include "system/trace_capture.hh"
 
@@ -198,56 +203,99 @@ writePointJson(JsonWriter &w, const SweepPointResult &point,
 }
 
 // ---------------------------------------------------------------------
-// Warm-snapshot cache
+// Run-scoped stores
 
 /**
- * One warm System per fork group, stored behind a shared_future so
- * concurrent points that share a group simulate the prefix exactly
- * once: the first requester inserts the future and runs the warm-up,
- * later requesters block on it. The snapshot is const and only ever
- * clone()d, which is thread-safe.
+ * The warm snapshots of one run, one per fork group, stored behind a
+ * shared_future so concurrent points that share a group simulate the
+ * prefix exactly once: the first requester inserts the future and
+ * runs the warm-up, later requesters block on it. A snapshot is const
+ * and only ever clone()d, which is thread-safe.
  */
-std::mutex snapshotMutex;
-std::map<std::string,
-         std::shared_future<std::shared_ptr<const System>>> snapshotCache;
-
-std::shared_ptr<const System>
-warmSnapshot(const SystemConfig &point_config)
+class WarmSnapshots
 {
-    const std::string key = sweepWarmupKey(point_config);
-
-    std::promise<std::shared_ptr<const System>> promise;
-    std::shared_future<std::shared_ptr<const System>> future;
-    bool compute = false;
+  public:
+    std::shared_ptr<const System>
+    get(const SystemConfig &point_config, ReferenceTapeStore &tapes)
     {
-        std::lock_guard<std::mutex> lock(snapshotMutex);
-        auto it = snapshotCache.find(key);
-        if (it != snapshotCache.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            snapshotCache.emplace(key, future);
-            compute = true;
+        const std::string key = sweepWarmupKey(point_config);
+
+        std::promise<std::shared_ptr<const System>> promise;
+        std::shared_future<std::shared_ptr<const System>> future;
+        bool compute = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            auto it = cache.find(key);
+            if (it != cache.end()) {
+                future = it->second;
+            } else {
+                future = promise.get_future().share();
+                cache.emplace(key, future);
+                compute = true;
+            }
         }
+
+        if (compute) {
+            try {
+                const SystemConfig warmer = sweepWarmerConfig(point_config);
+                auto system = std::make_shared<System>(warmer);
+                if (std::shared_ptr<ReferenceTape> tape =
+                        tapes.acquire(warmer))
+                    system->bindReferenceTape(std::move(tape));
+                system->runToMeasurementStart();
+                std::shared_ptr<const System> snapshot = std::move(system);
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    built.push_back(snapshot);
+                    const auto live = static_cast<std::size_t>(
+                        std::count_if(built.begin(), built.end(),
+                                      [](const auto &s) {
+                                          return !s.expired();
+                                      }));
+                    peakLive = std::max(peakLive, live);
+                }
+                promise.set_value(std::move(snapshot));
+            } catch (...) {
+                // Propagate to every waiter, then forget the entry so a
+                // later call can retry instead of replaying the failure.
+                promise.set_exception(std::current_exception());
+                std::lock_guard<std::mutex> lock(mutex);
+                cache.erase(key);
+            }
+        }
+        return future.get();
     }
 
-    if (compute) {
-        try {
-            auto system = std::make_shared<System>(
-                sweepWarmerConfig(point_config));
-            system->runToMeasurementStart();
-            promise.set_value(
-                std::shared_ptr<const System>(std::move(system)));
-        } catch (...) {
-            // Propagate to every waiter, then forget the entry so a
-            // later call can retry instead of replaying the failure.
-            promise.set_exception(std::current_exception());
-            std::lock_guard<std::mutex> lock(snapshotMutex);
-            snapshotCache.erase(key);
-        }
+    /** Drop group `key`'s snapshot: its last point finished. */
+    void
+    release(const std::string &key)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        cache.erase(key);
     }
-    return future.get();
-}
+
+    /** Most snapshots alive at once. */
+    std::size_t
+    peakLiveSnapshots() const
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return peakLive;
+    }
+
+  private:
+    mutable std::mutex mutex;
+    std::map<std::string,
+             std::shared_future<std::shared_ptr<const System>>> cache;
+    std::vector<std::weak_ptr<const System>> built;
+    std::size_t peakLive = 0;
+};
+
+/** Everything one run() shares between its sub-runs. */
+struct SweepStores
+{
+    ReferenceTapeStore tapes;
+    WarmSnapshots snapshots;
+};
 
 /**
  * A point may fork only when nothing observes its warm-up: trace or
@@ -523,15 +571,18 @@ ParallelSweepRunner::effectiveJobs(std::size_t point_count) const
     return jobs == 0 ? 1 : jobs;
 }
 
-SweepPointResult
-ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index)
+namespace
 {
-    return runPoint(point, index, /*allow_fork=*/false);
-}
 
+/**
+ * Execute one point with timing and failure capture, forking from its
+ * group's warm snapshot when `allow_fork` is set and the point is
+ * eligible (see forkEligible and SweepOptions::fork), against a run's
+ * shared tapes and snapshots.
+ */
 SweepPointResult
-ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index,
-                              bool allow_fork)
+executePoint(const SweepPoint &point, std::size_t index, bool allow_fork,
+             SweepStores &stores)
 {
     SweepPointResult result;
     result.index = index;
@@ -549,7 +600,7 @@ ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index,
             // in this point's measurement configuration, and resume
             // through the measured region only.
             const std::shared_ptr<const System> snapshot =
-                warmSnapshot(point.config);
+                stores.snapshots.get(point.config, stores.tapes);
             const std::unique_ptr<System> forked = snapshot->clone();
             forked->reconfigureForMeasurement(point.config);
             result.results = forked->resumeRun();
@@ -567,8 +618,10 @@ ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index,
             std::unique_ptr<SpanRecorder> spans;
             if (point.recordSpans || !point.spansPath.empty())
                 spans = std::make_unique<SpanRecorder>(point.spanExemplars);
-            result.results = ExperimentRunner::run(
-                point.config, trace.get(), metrics.get(), spans.get());
+            result.results =
+                ExperimentRunner::run(point.config, trace.get(),
+                                      metrics.get(), spans.get(),
+                                      stores.tapes);
             if (metrics &&
                 writeMetricsFile(*metrics, point.config,
                                  point.metricsPath)) {
@@ -581,8 +634,14 @@ ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index,
             }
         }
         if (point.normalize) {
+            // The uni-core baseline shares the point's stream, so it
+            // replays the point's tape — but only a tape-eligible
+            // point has one; a lone baseline would only pay for it.
             const SimResults base =
-                ExperimentRunner::baselineResults(point.config);
+                ReferenceTape::eligible(point.config)
+                    ? ExperimentRunner::baselineResults(point.config,
+                                                        stores.tapes)
+                    : ExperimentRunner::baselineResults(point.config);
             oscar_assert(base.throughput > 0.0);
             result.normalized =
                 result.results.throughput / base.throughput;
@@ -598,11 +657,18 @@ ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index,
     return result;
 }
 
+} // namespace
+
+SweepPointResult
+ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index)
+{
+    SweepStores stores;
+    return executePoint(point, index, /*allow_fork=*/false, stores);
+}
+
 void
 ParallelSweepRunner::clearWarmSnapshotCache()
 {
-    std::lock_guard<std::mutex> lock(snapshotMutex);
-    snapshotCache.clear();
 }
 
 namespace
@@ -681,7 +747,16 @@ mergeReplicaPoint(const SweepPoint &point, std::size_t index,
 std::vector<SweepPointResult>
 ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
 {
+    SweepRunStats stats;
+    return run(points, stats);
+}
+
+std::vector<SweepPointResult>
+ParallelSweepRunner::run(const std::vector<SweepPoint> &points,
+                         SweepRunStats &stats) const
+{
     std::vector<SweepPointResult> results(points.size());
+    stats = SweepRunStats{};
     if (points.empty())
         return results;
 
@@ -693,51 +768,97 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
     {
         std::size_t point;
         std::size_t replica; // kWholePoint for an unsharded point
+        /** Stream key of a tape-eligible sub-run, else empty. */
+        std::string tapeKey;
+        /** Fork group of a forking sub-run, else empty. */
+        std::string warmKey;
     };
     static constexpr std::size_t kWholePoint =
         ~static_cast<std::size_t>(0);
+    const auto sub_point = [&](std::size_t point, std::size_t replica) {
+        return replica == kWholePoint ? points[point]
+                                      : replicaSubPoint(points[point],
+                                                        replica);
+    };
     std::vector<SubJob> sub_jobs;
     std::vector<std::vector<SweepPointResult>> replica_results(
         points.size());
+    // Sub-runs left per tape key and per fork group; the last one to
+    // finish releases the tape or snapshot. Built before any worker
+    // starts, then only the counters change.
+    std::map<std::string, std::atomic<std::size_t>> remaining;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        const std::vector<std::uint64_t> &seeds =
-            points[i].replicaSeeds;
-        if (seeds.empty()) {
-            sub_jobs.push_back({i, kWholePoint});
-            continue;
+        const std::size_t replicas = points[i].replicaSeeds.size();
+        replica_results[i].resize(replicas);
+        for (std::size_t r = 0; r < std::max<std::size_t>(replicas, 1);
+             ++r) {
+            SubJob job{i, replicas == 0 ? kWholePoint : r, {}, {}};
+            const SweepPoint sub = sub_point(job.point, job.replica);
+            if (ReferenceTape::eligible(sub.config)) {
+                job.tapeKey = ReferenceTape::key(sub.config);
+                ++remaining[job.tapeKey];
+            }
+            if (opts.fork && forkEligible(sub)) {
+                job.warmKey = sweepWarmupKey(sub.config);
+                ++remaining[job.warmKey];
+            }
+            sub_jobs.push_back(std::move(job));
         }
-        replica_results[i].resize(seeds.size());
-        for (std::size_t r = 0; r < seeds.size(); ++r)
-            sub_jobs.push_back({i, r});
     }
+
+    // Claim order: sub-runs without a tape keep point order; the rest
+    // follow, grouped by stream key and then fork group, so each tape
+    // and snapshot is used by a contiguous run of claims.
+    std::vector<std::size_t> order(sub_jobs.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         const SubJob &x = sub_jobs[a];
+                         const SubJob &y = sub_jobs[b];
+                         if (x.tapeKey != y.tapeKey)
+                             return x.tapeKey < y.tapeKey;
+                         return !x.tapeKey.empty() && x.warmKey < y.warmKey;
+                     });
+
+    SweepStores stores;
+    const auto finish = [&](const std::string &key, auto &&release) {
+        if (!key.empty() && remaining.at(key).fetch_sub(1) == 1)
+            release(key);
+    };
 
     // Sub-results land at (point, replica) regardless of which worker
     // ran them, and the merge below folds replicas in listed order —
     // the output is independent of the job count and claim order.
     auto run_sub_job = [&](const SubJob &job) {
-        if (job.replica == kWholePoint) {
-            results[job.point] =
-                runPoint(points[job.point], job.point, opts.fork);
-        } else {
-            replica_results[job.point][job.replica] =
-                runPoint(replicaSubPoint(points[job.point], job.replica),
-                         job.point, opts.fork);
-        }
+        SweepPointResult result =
+            executePoint(sub_point(job.point, job.replica), job.point,
+                         opts.fork, stores);
+        if (job.replica == kWholePoint)
+            results[job.point] = std::move(result);
+        else
+            replica_results[job.point][job.replica] = std::move(result);
+        finish(job.warmKey, [&](const std::string &key) {
+            stores.snapshots.release(key);
+        });
+        finish(job.tapeKey, [&](const std::string &key) {
+            stores.tapes.release(key);
+        });
     };
 
     const unsigned jobs = effectiveJobs(sub_jobs.size());
     if (jobs <= 1) {
-        for (const SubJob &job : sub_jobs)
-            run_sub_job(job);
+        for (const std::size_t i : order)
+            run_sub_job(sub_jobs[i]);
     } else {
         std::atomic<std::size_t> next{0};
         auto worker = [&]() {
             for (;;) {
                 const std::size_t i =
                     next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= sub_jobs.size())
+                if (i >= order.size())
                     return;
-                run_sub_job(sub_jobs[i]);
+                run_sub_job(sub_jobs[order[i]]);
             }
         };
         std::vector<std::thread> threads;
@@ -754,6 +875,11 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
                                            std::move(replica_results[i]));
         }
     }
+    stats.generatedRefs = stores.tapes.generatedRefs();
+    stats.replayedRefs = stores.tapes.replayedRefs();
+    stats.tapes = stores.tapes.tapesCreated();
+    stats.peakLiveTapes = stores.tapes.peakLiveTapes();
+    stats.peakLiveSnapshots = stores.snapshots.peakLiveSnapshots();
     return results;
 }
 
@@ -873,6 +999,29 @@ applySweepSpanPaths(std::vector<SweepPoint> &points,
 // ---------------------------------------------------------------------
 // BenchOptions
 
+namespace
+{
+
+/**
+ * A whole non-negative decimal count no larger than `max`. strtoull
+ * alone would take "-1" (wrapping it to the largest value) and " 7",
+ * so the text must start with a digit; fatal otherwise.
+ */
+std::uint64_t
+parseBenchCount(const char *flag, const char *text, std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || value > max)
+        oscar_fatal("%s expects a non-negative integer, got '%s'", flag,
+                    text);
+    return value;
+}
+
+} // namespace
+
 BenchOptions
 BenchOptions::parse(int argc, char **argv,
                     const std::string &default_json)
@@ -889,13 +1038,8 @@ BenchOptions::parse(int argc, char **argv,
                             "(try --help)", arg.c_str());
         }
         if (arg == "--jobs") {
-            const char *text = argv[++i];
-            char *end = nullptr;
-            const unsigned long jobs = std::strtoul(text, &end, 10);
-            if (end == text || *end != '\0')
-                oscar_fatal("--jobs expects a non-negative integer, "
-                            "got '%s'", text);
-            opts.jobs = static_cast<unsigned>(jobs);
+            opts.jobs = static_cast<unsigned>(
+                parseBenchCount("--jobs", argv[++i], UINT_MAX));
         } else if (arg == "--json") {
             opts.jsonPath = argv[++i];
         } else if (arg == "--no-json") {
@@ -909,14 +1053,8 @@ BenchOptions::parse(int argc, char **argv,
         } else if (arg == "--spans") {
             opts.spansPath = argv[++i];
         } else if (arg == "--metrics-every") {
-            const char *text = argv[++i];
-            char *end = nullptr;
-            const unsigned long long every =
-                std::strtoull(text, &end, 10);
-            if (end == text || *end != '\0')
-                oscar_fatal("--metrics-every expects a non-negative "
-                            "integer, got '%s'", text);
-            opts.metricsEvery = every;
+            opts.metricsEvery =
+                parseBenchCount("--metrics-every", argv[++i], UINT64_MAX);
         } else if (arg == "--help") {
             std::printf("usage: %s [--jobs N] [--json PATH | --no-json]"
                         " [--no-fork] [--trace PATH] [--metrics PATH]"

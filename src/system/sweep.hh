@@ -212,6 +212,25 @@ SimResults mergeReplicaResults(const std::vector<SimResults> &replicas);
 std::string sweepReplicaPath(const std::string &base,
                              std::size_t replica);
 
+/**
+ * Deterministic work counts of one ParallelSweepRunner::run(): the
+ * reference-tape traffic (see system/reference_tape.hh) and how many
+ * tapes and warm snapshots were alive at once.
+ */
+struct SweepRunStats
+{
+    /** References the run's tapes drew (generation work). */
+    std::uint64_t generatedRefs = 0;
+    /** References replayed from them into simulated hierarchies. */
+    std::uint64_t replayedRefs = 0;
+    /** Tapes created (one per stream key with an eligible sub-run). */
+    std::size_t tapes = 0;
+    /** Most tapes alive at once. */
+    std::size_t peakLiveTapes = 0;
+    /** Most warm snapshots alive at once. */
+    std::size_t peakLiveSnapshots = 0;
+};
+
 /** Sweep execution knobs. */
 struct SweepOptions
 {
@@ -220,6 +239,8 @@ struct SweepOptions
 
     /**
      * Fork eligible points from a shared warm snapshot (the default).
+     * Snapshots are scoped to one run() and released when the last
+     * point of their group finishes.
      *
      * Points that agree on their warm-up environment — workload, seed,
      * core counts, topology shape, geometry, timings, interrupt rate,
@@ -255,12 +276,26 @@ class ParallelSweepRunner
     /**
      * Run every point and return results in point order.
      *
-     * Points are claimed from a shared counter, so scheduling is
+     * Sub-runs are claimed from a shared counter, so scheduling is
      * dynamic, but the output vector is indexed by point — the result
      * layout is independent of the job count and of worker timing.
+     *
+     * Every sub-run with one user thread in segment mode (warm-up,
+     * fork, fresh or observed point, and the baseline it normalizes
+     * against) replays its reference stream from a tape shared by all
+     * sub-runs of the same stream key (see system/reference_tape.hh),
+     * so each stream is generated once per run. Those sub-runs are
+     * claimed grouped by stream key, then by warm-snapshot group; the
+     * rest keep point order. A tape and a warm snapshot are released
+     * when the last sub-run of their group finishes, so at one job at
+     * most one of each is alive.
      */
     std::vector<SweepPointResult>
     run(const std::vector<SweepPoint> &points) const;
+
+    /** run(), also reporting the run's work counts. */
+    std::vector<SweepPointResult>
+    run(const std::vector<SweepPoint> &points, SweepRunStats &stats) const;
 
     /**
      * Execute one point with timing and failure capture, on the
@@ -271,16 +306,9 @@ class ParallelSweepRunner
                                      std::size_t index);
 
     /**
-     * Execute one point, forking from the group's warm snapshot when
-     * `allow_fork` is set and the point is eligible (no trace or
-     * metrics streaming, non-empty warm-up). See SweepOptions::fork.
-     */
-    static SweepPointResult runPoint(const SweepPoint &point,
-                                     std::size_t index, bool allow_fork);
-
-    /**
-     * Drop every cached warm snapshot (tests and A/B timing). Do not
-     * call concurrently with a running sweep.
+     * Kept for callers that reset caches between timed runs. Warm
+     * snapshots no longer outlive the run() (or runPoint()) that built
+     * them, so there is nothing left to drop.
      */
     static void clearWarmSnapshotCache();
 

@@ -10,6 +10,7 @@
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
+#include "system/reference_tape.hh"
 
 namespace oscar
 {
@@ -31,6 +32,22 @@ controllerConfig(const SystemConfig &config)
 
 } // namespace
 
+std::vector<std::unique_ptr<Workload>>
+buildWorkloads(const SystemConfig &config, const ServiceTable &services,
+               AddressSpace &space, OsPools &pools)
+{
+    WorkloadSpec spec = makeWorkloadSpec(config.workload);
+    spec.osCouplingScale = config.osCouplingScale;
+    pools = OsPools::build(space, services, spec);
+    std::vector<std::unique_ptr<Workload>> workloads;
+    workloads.reserve(config.userCores);
+    for (unsigned t = 0; t < config.userCores; ++t) {
+        workloads.push_back(std::make_unique<Workload>(
+            spec, services, space, pools, config.geometry.l2.lineBytes));
+    }
+    return workloads;
+}
+
 System::System(const SystemConfig &config)
     : cfg(config), services(std::make_shared<const ServiceTable>()),
       interrupts(cfg.interrupts, *services,
@@ -50,9 +67,8 @@ System::System(const SystemConfig &config)
                     cfg.migrationOneWayCycles);
     queues.build(topo);
 
-    WorkloadSpec spec = makeWorkloadSpec(cfg.workload);
-    spec.osCouplingScale = cfg.osCouplingScale;
-    pools = OsPools::build(space, *services, spec);
+    std::vector<std::unique_ptr<Workload>> workloads =
+        buildWorkloads(cfg, *services, space, pools);
 
     mem = std::make_unique<MemorySystem>(cfg.totalCores(), cfg.geometry,
                                          cfg.timings);
@@ -72,8 +88,7 @@ System::System(const SystemConfig &config)
         thread.id = t;
         thread.core = t;
         thread.rng = root.fork();
-        thread.workload = std::make_unique<Workload>(
-            spec, *services, space, pools, cfg.geometry.l2.lineBytes);
+        thread.workload = std::move(workloads[t]);
         buildPolicy(thread);
     }
 }
@@ -85,7 +100,8 @@ System::System(const System &other)
       controller(other.controller),
       staticThreshold(other.staticThreshold),
       dynamicThreshold(controller), // rebound to OUR controller
-      topo(other.topo), cores(other.cores), profile(other.profile)
+      topo(other.topo), cores(other.cores), profile(other.profile),
+      tape(other.tape), tapeCursor(other.tapeCursor)
 {
     // The copied EventQueue carries no handler; install ours.
     events.setPayloadHandler(&System::eventTrampoline, this);
@@ -267,6 +283,28 @@ System::reconfigureForMeasurement(const SystemConfig &config)
 }
 
 System::~System() = default;
+
+void
+System::bindReferenceTape(std::shared_ptr<ReferenceTape> bound)
+{
+    oscar_assert(!started && "bind the reference tape before run()");
+    oscar_assert(bound != nullptr);
+    bound->checkWorld(cfg);
+    tape = std::move(bound);
+}
+
+ExecResult
+System::executeSegment(Thread &thread, CoreId core, ExecContext ctx,
+                       InstCount instructions, std::uint32_t profile)
+{
+    if (tape != nullptr) {
+        return tape->replay(tapeCursor++, *mem, core, ctx, instructions,
+                            profile, thread.rng);
+    }
+    return ExecEngine::execute(*mem, core, ctx, instructions,
+                               segmentProfile(*thread.workload, profile),
+                               thread.rng);
+}
 
 void
 System::setTraceSink(TraceSink *sink)
@@ -652,9 +690,9 @@ System::threadStep(std::uint32_t tid)
     const Cycle now = events.now();
 
     if (token.kind == TokenKind::UserBurst) {
-        const ExecResult result = ExecEngine::execute(
-            *mem, thread.core, ExecContext::User, token.burstLength,
-            thread.workload->userProfile(), thread.rng);
+        const ExecResult result =
+            executeSegment(thread, thread.core, ExecContext::User,
+                           token.burstLength, kUserProfile);
         cores[thread.core].cycles().user += result.cycles;
         cores[thread.core].retireUser(token.burstLength);
         retire(thread, token.burstLength, false);
@@ -711,10 +749,9 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
     if (!cfg.offloadEnabled || !decision.offload) {
         // Execute inline on the invoking core.
         const InstCount length = extendedLength(inv);
-        const ExecResult result = ExecEngine::execute(
-            *mem, thread.core, ExecContext::Os, length,
-            thread.workload->serviceProfile(inv.service->id),
-            thread.rng);
+        const ExecResult result = executeSegment(
+            thread, thread.core, ExecContext::Os, length,
+            static_cast<std::uint32_t>(inv.service->id));
         cores[thread.core].cycles().os += result.cycles;
         cores[thread.core].retireOs(length);
         thread.policy->observe(inv, decision, length);
@@ -862,10 +899,9 @@ System::startOsExecution(std::uint32_t tid, Cycle start, unsigned target)
         spans->queueWait(tid, start, waited, target);
 
     const InstCount length = extendedLength(thread.pendingInv);
-    const ExecResult result = ExecEngine::execute(
-        *mem, os_core, ExecContext::Os, length,
-        thread.workload->serviceProfile(thread.pendingInv.service->id),
-        thread.rng);
+    const ExecResult result = executeSegment(
+        thread, os_core, ExecContext::Os, length,
+        static_cast<std::uint32_t>(thread.pendingInv.service->id));
     cores[os_core].cycles().os += result.cycles;
     cores[os_core].retireOs(length);
     if (spans != nullptr) {

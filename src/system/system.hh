@@ -45,7 +45,19 @@ namespace oscar
 {
 
 class MetricRegistry;
+class ReferenceTape;
 class TraceSink;
+
+/**
+ * Allocate `config`'s reference generators into `space`: the shared OS
+ * pools (returned through `pools`) first, then one workload per user
+ * thread, in thread order. Region addresses depend on that order, so
+ * System and a reference tape's producer (system/reference_tape.hh)
+ * both build their generators here.
+ */
+std::vector<std::unique_ptr<Workload>>
+buildWorkloads(const SystemConfig &config, const ServiceTable &services,
+               AddressSpace &space, OsPools &pools);
 
 /** One (instruction, N) point of the dynamic-N trajectory. */
 struct ThresholdSample
@@ -252,9 +264,11 @@ class System
      * Deep-copy the full simulation state: caches and directory, the
      * event queue (payload events only — asserted), per-thread RNG
      * streams, workload generator state, predictors, policy state,
-     * queue occupancy, and all phase/statistics machinery. Trace
-     * sinks and metric registries are NOT carried over; the clone
-     * starts uninstrumented (attach fresh ones if needed). The clone
+     * queue occupancy, and all phase/statistics machinery. A
+     * reference-tape binding is carried over at the same segment (the
+     * clone's own regions were never advanced). Trace sinks and metric
+     * registries are NOT carried over; the clone starts
+     * uninstrumented (attach fresh ones if needed). The clone
      * and the original then evolve independently and deterministically:
      * resuming either produces the stream the original would have.
      */
@@ -310,6 +324,17 @@ class System
      * Null detaches (the default).
      */
     void setSpanRecorder(SpanRecorder *recorder);
+
+    /**
+     * Draw this system's reference stream from a shared tape instead
+     * of generating it (see system/reference_tape.hh). Must be called
+     * before run(); the configuration must have one user thread in
+     * segment mode and the tape's generator world (fatal otherwise).
+     * Results, traces, metrics and spans are byte-identical to an
+     * unbound run; a divergence from the recorded stream is fatal.
+     * Clones stay bound at the same position.
+     */
+    void bindReferenceTape(std::shared_ptr<ReferenceTape> tape);
 
     /** The configuration in force. */
     const SystemConfig &config() const { return cfg; }
@@ -406,6 +431,15 @@ class System
     /** Advance one thread by one workload token. */
     void threadStep(std::uint32_t tid);
 
+    /**
+     * Execute one segment of a thread's stream on `core` with segment
+     * profile `profile` (see segmentProfile()): replayed from the
+     * bound tape, else generated in place by ExecEngine::execute.
+     */
+    ExecResult executeSegment(Thread &thread, CoreId core,
+                              ExecContext ctx, InstCount instructions,
+                              std::uint32_t profile);
+
     /** Process one OS invocation (decide, execute inline or off-load). */
     void handleInvocation(std::uint32_t tid, const OsInvocation &inv);
 
@@ -500,6 +534,10 @@ class System
     std::vector<Core> cores;
     std::vector<Thread> threads;
     ServiceProfile profile; ///< filled continuously; used for SI profiling
+    /** Shared stream this system replays; null = generate in place. */
+    std::shared_ptr<ReferenceTape> tape;
+    /** Next tape segment this system executes. */
+    std::size_t tapeCursor = 0;
     TraceSink *trace = nullptr; ///< optional; null = tracing off
     SpanRecorder *spans = nullptr; ///< optional; null = spans off
 

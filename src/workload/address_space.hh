@@ -69,10 +69,12 @@ class AddressRegion
     /**
      * Draw the next referenced byte address.
      *
-     * Defined inline (with scatter/remember): the execution engine
-     * calls this for every simulated memory reference, and keeping the
-     * RNG and Zipf sampling visible to the caller's optimizer removes
-     * the hottest call edge in whole-run profiles.
+     * Defined in the header (with scatter/remember) so the optimizer
+     * may inline it into the draw loop, but it is not forced: the
+     * release+LTO build keeps it out of line (gprofng puts ~33 % of
+     * fig5 self time here) and always_inline measured slower. The
+     * cheap way to spend less time here is to call it less often —
+     * see system/reference_tape.hh.
      */
     Addr
     nextAccess(Rng &rng)
