@@ -35,7 +35,7 @@
  *    path on top of simulation.
  *  - metrics_stream: the same apache/HI run with a MetricRegistry
  *    attached (100k-instruction sampling) and an `oscar.metrics.v1`
- *    file written at the end; measures the metric shadow-counter and
+ *    file written at the end; measures the metric polling and
  *    sampling overhead on top of simulation.
  *  - predictor_cam_hot: CAM predict/update over a Zipf-skewed stream
  *    of 80 hot AStates (mostly hits — the paper's steady state).

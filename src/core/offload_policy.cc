@@ -158,11 +158,14 @@ void
 PredictivePolicy::registerMetrics(MetricRegistry &registry,
                                   const std::string &prefix)
 {
-    oscar_assert(mLookups == nullptr);
-    mLookups = registry.counter(prefix + ".lookups");
-    mGlobalFallbacks = registry.counter(prefix + ".global_fallbacks");
-    mTableHits = registry.counter(prefix + ".table_hits");
-    mObservations = registry.counter(prefix + ".observations");
+    oscar_assert(mConfidence == nullptr);
+    registry.counterFn(prefix + ".lookups", [this] { return lookupCount; });
+    registry.counterFn(prefix + ".global_fallbacks",
+                       [this] { return globalFallbackCount; });
+    registry.counterFn(prefix + ".table_hits",
+                       [this] { return tableHitCount; });
+    registry.counterFn(prefix + ".observations",
+                       [this] { return accuracy.samples(); });
     mConfidence = registry.histogram(prefix + ".confidence", 4);
     RunLengthPredictor *p = &pred;
     registry.gauge(prefix + ".occupancy", [p] {
@@ -180,12 +183,11 @@ PredictivePolicy::decide(const OsInvocation &invocation)
     decision.cost = cost;
     const InstCount n = thresh.threshold();
     decision.offload = decision.predictedLength > n;
-    if (mLookups != nullptr) {
-        ++*mLookups;
-        *mGlobalFallbacks += decision.prediction.fromGlobal ? 1 : 0;
-        *mTableHits += decision.prediction.tableHit ? 1 : 0;
+    ++lookupCount;
+    globalFallbackCount += decision.prediction.fromGlobal ? 1 : 0;
+    tableHitCount += decision.prediction.tableHit ? 1 : 0;
+    if (mConfidence != nullptr)
         mConfidence->add(decision.prediction.confidence);
-    }
     if (trace != nullptr) {
         TraceEvent event;
         event.kind = TraceEventKind::PredictorLookup;
@@ -208,12 +210,8 @@ PredictivePolicy::observe(const OsInvocation &invocation,
 {
     pred.update(invocation.astate(), actual_length);
     if (decision.predictorUsed) {
-        const bool counted = accuracy.record(decision.prediction,
-                                             actual_length,
-                                             invocation.isWindowTrap());
-        // Lockstep with samples(): only count what record() counted.
-        if (counted && mObservations != nullptr)
-            ++*mObservations;
+        accuracy.record(decision.prediction, actual_length,
+                        invocation.isWindowTrap());
     }
 }
 

@@ -265,11 +265,12 @@ class PredictivePolicy : public OffloadPolicy
 
     /**
      * Register this policy's predictor metrics under `<prefix>.`:
-     * lookup/global-fallback/table-hit counters, an observation
-     * counter in exact lockstep with stats().samples() (same
-     * window-trap exclusion), a lookup-confidence histogram, and a
-     * predictor occupancy gauge. Call at most once, before decisions;
-     * the registry must outlive this policy.
+     * lookup/global-fallback/table-hit counters polling the policy's
+     * own never-reset counts, an observation counter polling
+     * stats().samples() (zeroed at measurement start, inside the
+     * registry's carryAcrossReset()), a lookup-confidence histogram,
+     * and a predictor occupancy gauge. Call at most once, before
+     * decisions; the registry must outlive this policy.
      */
     void registerMetrics(MetricRegistry &registry,
                          const std::string &prefix);
@@ -280,12 +281,12 @@ class PredictivePolicy : public OffloadPolicy
     Cycle cost;
     PolicyKind policyKind;
     PredictorStats accuracy;
+    /** Lifetime decision counts, read only by registered metrics. */
+    std::uint64_t lookupCount = 0;
+    std::uint64_t globalFallbackCount = 0;
+    std::uint64_t tableHitCount = 0;
 
-    // Registry handles; null until registerMetrics() (metrics off).
-    std::uint64_t *mLookups = nullptr;
-    std::uint64_t *mGlobalFallbacks = nullptr;
-    std::uint64_t *mTableHits = nullptr;
-    std::uint64_t *mObservations = nullptr;
+    /** Registry-owned histogram; null until registerMetrics(). */
     LogHistogram *mConfidence = nullptr;
 };
 

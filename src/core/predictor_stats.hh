@@ -49,9 +49,7 @@ class PredictorStats
      * @param actual Observed run length (with interrupt extension).
      * @param is_window_trap True for spill/fill traps.
      * @return True when the outcome was counted, false when the
-     *         window-trap exclusion skipped it — so shadow counters
-     *         (registry metrics) can stay in exact lockstep with
-     *         samples().
+     *         window-trap exclusion skipped it.
      */
     bool record(const RunLengthPrediction &prediction, InstCount actual,
                 bool is_window_trap);

@@ -149,11 +149,10 @@ class MemorySystem
 
     /**
      * Snapshot copy: duplicates every tag store, the directory and all
-     * statistics. Metric-registry handles are deliberately NOT carried
-     * over — they point into the original's registry — so the copy
-     * starts unregistered (registerMetrics() may be called afresh).
+     * statistics. Registered metrics poll the original, so the copy
+     * starts unregistered.
      */
-    MemorySystem(const MemorySystem &other);
+    MemorySystem(const MemorySystem &other) = default;
     MemorySystem &operator=(const MemorySystem &) = delete;
 
     /**
@@ -217,13 +216,14 @@ class MemorySystem
     /**
      * Register this hierarchy's metrics under `mem.` in the registry.
      *
-     * Adds per-core hit/access counter pairs shadowing the RatioStats
-     * (names like `mem.core0.l2.user.hits`), coherence-event counters,
-     * polled lifetime eviction counters, a `mem.flushes` counter for
-     * full-hierarchy invalidations, and a `mem.directory.lines` gauge.
-     * Unlike CoreMemStats, registry counters are never reset, so the
-     * measured region is read as a difference of samples. At most one
-     * registry may ever be attached; it must outlive this object.
+     * Every counter polls a count the hierarchy keeps anyway: per-core
+     * hit/access pairs and coherence events read CoreMemStats (names
+     * like `mem.core0.l2.user.hits`), evictions read the tag stores,
+     * and `mem.flushes` counts full-hierarchy invalidations; a
+     * `mem.directory.lines` gauge tracks the directory. resetStats()
+     * zeroes CoreMemStats, so it must run inside the registry's
+     * carryAcrossReset() once registered. The registry must outlive
+     * this object.
      */
     void registerMetrics(MetricRegistry &registry);
 
@@ -249,45 +249,6 @@ class MemorySystem
         SetAssocCache l1i;
         SetAssocCache l1d;
         SetAssocCache l2;
-    };
-
-    /** Registry counters shadowing one RatioStat. */
-    struct CounterPair
-    {
-        std::uint64_t *hits = nullptr;
-        std::uint64_t *total = nullptr;
-
-        void
-        add(bool hit)
-        {
-            *hits += hit ? 1 : 0;
-            ++*total;
-        }
-
-        void
-        addMany(std::uint64_t hits_in, std::uint64_t total_in)
-        {
-            *hits += hits_in;
-            *total += total_in;
-        }
-    };
-
-    /**
-     * Registry handles mirroring one core's CoreMemStats. Populated
-     * only by registerMetrics(); when `metricHandles` is empty every
-     * mirror site reduces to one predicted branch.
-     */
-    struct CoreMetricHandles
-    {
-        CounterPair l1i;
-        CounterPair l1d;
-        CounterPair l2User;
-        CounterPair l2Os;
-        std::uint64_t *c2cTransfers = nullptr;
-        std::uint64_t *invalidationsSent = nullptr;
-        std::uint64_t *invalidationsReceived = nullptr;
-        std::uint64_t *upgrades = nullptr;
-        std::uint64_t *memoryFetches = nullptr;
     };
 
     /** Handle an L2 miss: directory transaction + fill. */
@@ -338,8 +299,6 @@ class MemorySystem
 
     std::vector<CoreCaches> cores;
     std::vector<CoreMemStats> coreStats;
-    /** Empty until registerMetrics(); then one entry per core. */
-    std::vector<CoreMetricHandles> metricHandles;
     Directory dir;
     Interconnect fabric;
     MemTimings lat;

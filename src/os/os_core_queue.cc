@@ -16,8 +16,8 @@ void
 OsCoreQueue::registerMetrics(MetricRegistry &registry,
                              const std::string &prefix)
 {
-    oscar_assert(mOffers == nullptr);
-    mOffers = registry.counter(prefix + "offers");
+    oscar_assert(mWait == nullptr);
+    registry.counterFn(prefix + "offers", [this] { return offerCount; });
     mWait = registry.histogram(prefix + "wait");
     registry.gauge(prefix + "depth",
                    [this] { return static_cast<double>(depth()); });
@@ -38,15 +38,13 @@ OsCoreQueue::recordWait(Cycle waited)
     if (mWait != nullptr)
         mWait->add(waited);
     ++admittedCount;
-    ++admittedEverCount;
 }
 
 bool
 OsCoreQueue::offer(const OffloadRequest &req, Cycle now)
 {
     oscar_assert(req.arrival <= now || req.arrival == now);
-    if (mOffers != nullptr)
-        ++*mOffers;
+    ++offerCount;
     if (!coreBusy) {
         coreBusy = true;
         recordWait(0);

@@ -104,9 +104,6 @@ class OsCoreQueue
     /** Total requests ever admitted (started service). */
     std::uint64_t admitted() const { return admittedCount; }
 
-    /** Admissions since construction; unlike admitted(), never reset. */
-    std::uint64_t admittedEver() const { return admittedEverCount; }
-
     /** Requests this queue's core stole from peers. */
     std::uint64_t stealsIn() const { return stealsInCount; }
 
@@ -147,10 +144,12 @@ class OsCoreQueue
     std::uint32_t queueId() const { return queueIndex; }
 
     /**
-     * Register queue metrics under `<prefix>`: an offers counter, a
-     * depth gauge, and a wait-time histogram recorded at the same two
-     * sites as queueDelay() (but, like all registry metrics, never
-     * reset). Call at most once; the registry must outlive the queue.
+     * Register queue metrics under `<prefix>`: an offers counter
+     * polling the queue's never-reset offer count, a depth gauge, and
+     * a registry-owned wait-time histogram recorded at the same sites
+     * as queueDelay() (but never reset, and log2-bucketed rather than
+     * the LatencyHistogram's layout). Call at most once; the registry
+     * must outlive the queue.
      * The default prefix preserves the legacy single-queue names
      * (`os.queue.offers`, ...); multi-queue systems pass
      * `os.queue.q<k>.`.
@@ -159,15 +158,14 @@ class OsCoreQueue
                          const std::string &prefix = "os.queue.");
 
     /**
-     * Detach trace and registry hooks after a snapshot copy: the
-     * copied pointers alias the original's sinks/registry. The queue
-     * itself (occupancy, stats) is left untouched.
+     * Detach the trace sink and wait histogram after a snapshot copy:
+     * the copied pointers alias the original's sink and registry. The
+     * queue itself (occupancy, stats) is left untouched.
      */
     void
     dropInstrumentation()
     {
         trace = nullptr;
-        mOffers = nullptr;
         mWait = nullptr;
     }
 
@@ -180,7 +178,8 @@ class OsCoreQueue
     RunningStat delayStat;
     LatencyHistogram waitHist;
     std::uint64_t admittedCount = 0;
-    std::uint64_t admittedEverCount = 0;
+    /** Requests ever offered; never reset (read by metrics only). */
+    std::uint64_t offerCount = 0;
     std::uint64_t stealsInCount = 0;
     std::uint64_t stealsOutCount = 0;
     std::uint64_t spillsInCount = 0;
@@ -189,8 +188,7 @@ class OsCoreQueue
     bool annotate = false;
     TraceSink *trace = nullptr;
 
-    // Registry handles; null until registerMetrics() (metrics off).
-    std::uint64_t *mOffers = nullptr;
+    /** Registry-owned histogram; null until registerMetrics(). */
     LogHistogram *mWait = nullptr;
 };
 

@@ -153,6 +153,24 @@ OsQueueSet::resetStats()
         q.resetStats();
 }
 
+std::uint64_t
+OsQueueSet::steals() const
+{
+    std::uint64_t total = 0;
+    for (const OsCoreQueue &q : queues)
+        total += q.stealsIn();
+    return total;
+}
+
+std::uint64_t
+OsQueueSet::spills() const
+{
+    std::uint64_t total = 0;
+    for (const OsCoreQueue &q : queues)
+        total += q.spillsIn();
+    return total;
+}
+
 void
 OsQueueSet::setTraceSink(TraceSink *sink)
 {

@@ -98,6 +98,12 @@ class OsQueueSet
     /** Reset every queue's statistics. */
     void resetStats();
 
+    /** Steals since resetStats(): each bumps one thief's stealsIn. */
+    std::uint64_t steals() const;
+
+    /** Spills since resetStats(): each bumps one target's spillsIn. */
+    std::uint64_t spills() const;
+
     /** Attach a trace sink to every queue. */
     void setTraceSink(TraceSink *sink);
 

@@ -56,17 +56,7 @@ MetricRegistry::addSeries(std::string name, MetricKind kind,
     }
     columns.push_back(Series{std::move(name), kind});
     readers.push_back(std::move(reader));
-}
-
-std::uint64_t *
-MetricRegistry::counter(const std::string &name)
-{
-    claimName(name);
-    counterPool.push_back(0);
-    std::uint64_t *slot = &counterPool.back();
-    addSeries(name, MetricKind::Counter,
-              [slot] { return static_cast<double>(*slot); });
-    return slot;
+    carried.push_back(0.0);
 }
 
 void
@@ -113,14 +103,38 @@ MetricRegistry::seriesIndex(const std::string &name) const
     return -1;
 }
 
+double
+MetricRegistry::read(std::size_t i) const
+{
+    // Only counters carry; adding 0.0 to a gauge would turn -0 into 0.
+    const double value = readers[i]();
+    return columns[i].kind == MetricKind::Counter ? value + carried[i]
+                                                  : value;
+}
+
 std::vector<double>
 MetricRegistry::readSeries() const
 {
     std::vector<double> values;
     values.reserve(readers.size());
-    for (const auto &reader : readers)
-        values.push_back(reader());
+    for (std::size_t i = 0; i < readers.size(); ++i)
+        values.push_back(read(i));
     return values;
+}
+
+void
+MetricRegistry::carryAcrossReset(const std::function<void()> &reset)
+{
+    const std::vector<double> before = readSeries();
+    reset();
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        if (columns[i].kind != MetricKind::Counter)
+            continue;
+        const double after = read(i);
+        oscar_assert(after <= before[i] &&
+                     "a statistics reset must not raise a counter");
+        carried[i] += before[i] - after;
+    }
 }
 
 double
@@ -129,7 +143,7 @@ MetricRegistry::seriesValue(const std::string &name) const
     const std::ptrdiff_t idx = seriesIndex(name);
     if (idx < 0)
         oscar_fatal("unknown metric series '%s'", name.c_str());
-    return readers[static_cast<std::size_t>(idx)]();
+    return read(static_cast<std::size_t>(idx));
 }
 
 std::size_t

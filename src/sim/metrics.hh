@@ -14,17 +14,17 @@
  *
  * Three metric kinds:
  *
- *  - counter: a monotone uint64 owned by the registry. Registration
- *    returns a bare `std::uint64_t *`, so the hot-path update is a
- *    single pointer increment — no lookup, no allocation, no branch
- *    beyond the emitter's own "is a registry attached" check. A polled
- *    flavour (counterFn) wraps counters that already exist as
- *    component members and are read only at sample time.
+ *  - counter: a monotone uint64 polled at sample time from the one
+ *    count its component already keeps (counterFn). The registry owns
+ *    no counts; it only carries each counter across the components'
+ *    measured-region statistics reset (carryAcrossReset), so exported
+ *    counters stay lifetime-monotone while components keep plain
+ *    measured-region statistics.
  *  - gauge: an instantaneous value polled at sample time (queue
  *    depth, CAM occupancy, the N in force).
  *  - histogram: a LogHistogram owned by the registry; hot paths add
  *    through the returned pointer, and sampling expands it into
- *    derived series (count, mean, p50, p99).
+ *    derived series (count, mean, p50, p99). Histograms never reset.
  *
  * Metrics never feed back into simulation: attaching a registry
  * perturbs no event ordering, RNG draw, or decision, so golden traces
@@ -112,16 +112,10 @@ class MetricRegistry
     // -- registration -------------------------------------------------
 
     /**
-     * Register a registry-owned counter.
+     * Register a counter: `poll` is invoked at sample time and must be
+     * monotone non-decreasing except inside carryAcrossReset().
      *
      * @param name Unique dotted name; fatal on duplicates.
-     * @return Stable pointer the caller increments directly.
-     */
-    std::uint64_t *counter(const std::string &name);
-
-    /**
-     * Register a polled counter: `poll` is invoked at sample time and
-     * must be monotone non-decreasing over the run.
      */
     void counterFn(const std::string &name,
                    std::function<std::uint64_t()> poll);
@@ -148,10 +142,15 @@ class MetricRegistry
     /** Index of a series by full name, or -1 when absent. */
     std::ptrdiff_t seriesIndex(const std::string &name) const;
 
-    /** Current cumulative value of every series, in series order. */
+    /**
+     * Current cumulative value of every series, in series order. Reads
+     * live: every polled component must still exist (recorded
+     * samples() need no component).
+     */
     std::vector<double> readSeries() const;
 
-    /** Current cumulative value of one series; fatal when unknown. */
+    /** Current value of one series, read live like readSeries();
+     *  fatal when unknown. */
     double seriesValue(const std::string &name) const;
 
     // -- sampling -----------------------------------------------------
@@ -181,10 +180,19 @@ class MetricRegistry
     const std::vector<Sample> &samples() const { return rows; }
 
     /**
+     * Run `reset`, a reset of the statistics counters poll, keeping
+     * every counter series lifetime-monotone: each counter's drop
+     * across the call is added to the offset its series reads with.
+     * Sources the reset does not touch drop by 0. Gauges and
+     * histograms are unaffected.
+     */
+    void carryAcrossReset(const std::function<void()> &reset);
+
+    /**
      * Mark a sample row as the measurement-start snapshot: the row
      * taken right after the warmup-to-measurement statistics reset.
-     * Registry counters are never reset, so "final minus this row"
-     * equals the measured-region aggregates — the consistency
+     * Counter series carry across that reset, so "final minus this
+     * row" equals the measured-region aggregates — the consistency
      * cross-check the integration tests assert.
      */
     void setMeasurementStartSample(std::size_t index);
@@ -200,14 +208,21 @@ class MetricRegistry
     void addSeries(std::string name, MetricKind kind,
                    std::function<double()> reader);
 
+    /** Current cumulative value of series `i`. */
+    double read(std::size_t i) const;
+
     std::uint64_t interval;
     std::vector<Series> columns;
     /** One reader per series, index-aligned with `columns`. */
     std::vector<std::function<double()>> readers;
+    /**
+     * Per-series drops accumulated by carryAcrossReset(), added to a
+     * counter's reader (always 0 for gauges). Counts stay below 2^53,
+     * so the double arithmetic is exact.
+     */
+    std::vector<double> carried;
     /** Registered metric names (pre-expansion), for duplicate checks. */
     std::vector<std::string> claimedNames;
-    /** Stable storage for registry-owned counters. */
-    std::deque<std::uint64_t> counterPool;
     /** Stable storage for registry-owned histograms. */
     std::deque<LogHistogram> histogramPool;
     std::vector<Sample> rows;

@@ -78,7 +78,9 @@ class ExperimentRunner
     /**
      * Build and run a system with a trace sink and/or metric registry
      * attached (see sim/metrics.hh). Null arguments behave exactly
-     * like run(config); the registry must outlive the call.
+     * like run(config); the registry must outlive the call. Its series
+     * poll the system, which is gone when the call returns: read the
+     * recorded samples afterwards, not seriesValue()/readSeries().
      */
     static SimResults run(const SystemConfig &config, TraceSink *trace,
                           MetricRegistry *metrics);

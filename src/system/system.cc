@@ -184,7 +184,7 @@ System::System(const System &other)
     servingDone = other.servingDone;
     servingEndCycle = other.servingEndCycle;
 
-    // trace/metrics/m* pointers keep their null defaults: the clone
+    // trace/metrics pointers keep their null defaults: the clone
     // starts uninstrumented by contract.
 }
 
@@ -200,6 +200,8 @@ System::reconfigureForMeasurement(const SystemConfig &config)
     oscar_assert(started && measuring &&
                  "reconfigure requires a system stopped at "
                  "measurement start");
+    oscar_assert(metrics == nullptr &&
+                 "reconfigure would rebuild what attached metrics poll");
     // The warm prefix is only shareable across configurations that
     // agree on everything that shaped it; spot-check the load-bearing
     // fields. Policy/threshold/predictor/horizon fields may differ.
@@ -238,32 +240,11 @@ System::reconfigureForMeasurement(const SystemConfig &config)
         buildPolicy(thread);
     }
 
-    // Re-enter the measured region at the current cycle: same resets
-    // enterMeasurement() performs, so the forked run's measured
+    // Re-enter the measured region at the current cycle with the same
+    // reset enterMeasurement() performs, so the forked run's measured
     // region starts clean under the new policy.
     measureStart = events.now();
-    mem->resetStats();
-    for (Core &core : cores)
-        core.resetStats();
-    queues.resetStats();
-    measuredRetiredAll = 0;
-    measuredOsRetired = 0;
-    finishedThreads = 0;
-    for (Thread &thread : threads) {
-        thread.measuredRetired = 0;
-        thread.quotaReached = false;
-        thread.finishCycle = 0;
-    }
-    invocationsMeasured = 0;
-    offloadedMeasured = 0;
-    migIntraMeasured = 0;
-    migInterMeasured = 0;
-    invocationLength.reset();
-    invocationLengthHist.reset();
-    for (InstCount &tail : osInstrAboveTail)
-        tail = 0;
-    invocationsByService.fill(0);
-    offloadsByService.fill(0);
+    resetMeasuredStats();
     thresholdTrajectory.clear();
     if (cfg.dynamicThreshold) {
         controller.begin(warmupPrivFraction);
@@ -274,10 +255,6 @@ System::reconfigureForMeasurement(const SystemConfig &config)
         windowStartInstr = measuredRetiredAll;
         windowStartCycle = events.now();
     }
-    requestsCompletedMeasured = 0;
-    requestsOfferedMeasured = 0;
-    requestLatency = LatencyHistogram{};
-    requestDispatchWait.reset();
     if (spans != nullptr)
         spans->reset();
 }
@@ -332,22 +309,35 @@ System::setSpanRecorder(SpanRecorder *recorder)
 void
 System::setMetricRegistry(MetricRegistry *registry)
 {
+    oscar_assert(!started && "attach the metric registry before run()");
     oscar_assert(registry != nullptr && metrics == nullptr);
     metrics = registry;
 
-    mRetiredUser = registry->counter("sys.retired.user");
-    mRetiredOs = registry->counter("sys.retired.os");
-    mInvocations = registry->counter("sys.invocations");
-    mOffloads = registry->counter("sys.offloads");
+    // Every counter polls a count this system or a component keeps;
+    // enterMeasurement() carries them across the measured-region reset.
+    registry->counterFn("sys.retired.user", [this] {
+        return warmupRetired - warmupOsRetired + measuredRetiredAll -
+               measuredOsRetired;
+    });
+    registry->counterFn("sys.retired.os", [this] {
+        return warmupOsRetired + measuredOsRetired;
+    });
+    registry->counterFn("sys.invocations",
+                        [this] { return invocationsMeasured; });
+    registry->counterFn("sys.offloads", [this] { return offloadedMeasured; });
 
     mem->registerMetrics(*registry);
     if (cfg.offloadEnabled) {
         queues.registerMetrics(*registry);
-        mMigIntra = registry->counter("numa.migrations.intra");
-        mMigInter = registry->counter("numa.migrations.inter");
+        registry->counterFn("numa.migrations.intra",
+                            [this] { return migIntraMeasured; });
+        registry->counterFn("numa.migrations.inter",
+                            [this] { return migInterMeasured; });
         if (topo.config().dispatch == OsDispatchPolicy::WorkStealing) {
-            mSteals = registry->counter("numa.steals");
-            mSpills = registry->counter("numa.spills");
+            registry->counterFn("numa.steals",
+                                [this] { return queues.steals(); });
+            registry->counterFn("numa.spills",
+                                [this] { return queues.spills(); });
         }
     }
     if (cfg.dynamicThreshold)
@@ -360,8 +350,10 @@ System::setMetricRegistry(MetricRegistry *registry)
     }
 
     if (cfg.serving) {
-        mRequestsOffered = registry->counter("serving.offered");
-        mRequestsCompleted = registry->counter("serving.completed");
+        registry->counterFn("serving.offered",
+                            [this] { return requestsOfferedMeasured; });
+        registry->counterFn("serving.completed",
+                            [this] { return requestsCompletedTotal; });
         mRequestLatency = registry->histogram("serving.latency", 48);
         registry->gauge("serving.inflight", [this] {
             std::uint64_t inflight = 0;
@@ -530,11 +522,6 @@ System::recordInvocationLength(InstCount length)
 void
 System::retire(Thread &thread, InstCount count, bool privileged)
 {
-    // Before the phase machinery, so a measurement-start mark sample
-    // taken below already includes this retirement.
-    if (metrics != nullptr)
-        *(privileged ? mRetiredOs : mRetiredUser) += count;
-
     if (measuring) {
         thread.measuredRetired += count;
         measuredRetiredAll += count;
@@ -601,24 +588,10 @@ System::enterMeasurement()
                   static_cast<double>(warmupRetired)
             : 0.0;
 
-    mem->resetStats();
-    for (Core &core : cores)
-        core.resetStats();
-    queues.resetStats();
-    for (Thread &thread : threads) {
-        if (thread.predictive != nullptr)
-            thread.predictive->stats().reset();
-    }
-    invocationsMeasured = 0;
-    offloadedMeasured = 0;
-    migIntraMeasured = 0;
-    migInterMeasured = 0;
-    invocationLength.reset();
-    invocationLengthHist.reset();
-    for (InstCount &tail : osInstrAboveTail)
-        tail = 0;
-    invocationsByService.fill(0);
-    offloadsByService.fill(0);
+    if (metrics != nullptr)
+        metrics->carryAcrossReset([this] { resetMeasuredStats(); });
+    else
+        resetMeasuredStats();
 
     if (trace != nullptr) {
         TraceEvent event;
@@ -637,14 +610,47 @@ System::enterMeasurement()
         windowStartCycle = events.now();
     }
 
-    // Mark sample: taken after every Stats reset above, so registry
-    // counters (which never reset) satisfy "final minus this row ==
-    // measured-region Stats aggregates" exactly.
+    // Mark sample: taken after the reset above, which the counters
+    // carried across, so "final minus this row == measured-region
+    // Stats aggregates" holds exactly.
     if (metrics != nullptr) {
         const std::size_t row = metrics->takeSample(
             warmupRetired + measuredRetiredAll, events.now());
         metrics->setMeasurementStartSample(row);
     }
+}
+
+void
+System::resetMeasuredStats()
+{
+    mem->resetStats();
+    for (Core &core : cores)
+        core.resetStats();
+    queues.resetStats();
+    measuredRetiredAll = 0;
+    measuredOsRetired = 0;
+    finishedThreads = 0;
+    for (Thread &thread : threads) {
+        thread.measuredRetired = 0;
+        thread.quotaReached = false;
+        thread.finishCycle = 0;
+        if (thread.predictive != nullptr)
+            thread.predictive->stats().reset();
+    }
+    invocationsMeasured = 0;
+    offloadedMeasured = 0;
+    migIntraMeasured = 0;
+    migInterMeasured = 0;
+    invocationLength.reset();
+    invocationLengthHist.reset();
+    for (InstCount &tail : osInstrAboveTail)
+        tail = 0;
+    invocationsByService.fill(0);
+    offloadsByService.fill(0);
+    requestsCompletedMeasured = 0;
+    requestsOfferedMeasured = 0;
+    requestLatency = LatencyHistogram{};
+    requestDispatchWait.reset();
 }
 
 double
@@ -738,13 +744,8 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
         event.predictorUsed = decision.predictorUsed;
         trace->emit(event);
     }
-    if (measuring) {
-        ++invocationsMeasured;
-        ++invocationsByService[static_cast<std::size_t>(
-            inv.service->id)];
-    }
-    if (mInvocations != nullptr)
-        ++*mInvocations;
+    ++invocationsMeasured;
+    ++invocationsByService[static_cast<std::size_t>(inv.service->id)];
 
     if (!cfg.offloadEnabled || !decision.offload) {
         // Execute inline on the invoking core.
@@ -782,12 +783,8 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
     }
 
     // Off-load: migrate to the dispatched OS core.
-    if (measuring) {
-        ++offloadedMeasured;
-        ++offloadsByService[static_cast<std::size_t>(inv.service->id)];
-    }
-    if (mOffloads != nullptr)
-        ++*mOffloads;
+    ++offloadedMeasured;
+    ++offloadsByService[static_cast<std::size_t>(inv.service->id)];
     const unsigned target = queues.dispatchQueue(thread.core);
     const CoreId os_core = topo.osCoreId(target);
     const Cycle one_way = topo.migrationOneWay(thread.core, os_core);
@@ -842,8 +839,6 @@ System::osCoreArrival(std::uint32_t tid)
             countMigration(from_core, to_core);
             queues.queue(home).countSpillOut();
             queues.queue(spill).countSpillIn();
-            if (mSpills != nullptr)
-                ++*mSpills;
             if (trace != nullptr) {
                 TraceEvent event;
                 event.kind = TraceEventKind::Spill;
@@ -989,8 +984,6 @@ System::maybeSteal(unsigned thief, Cycle now)
     const Cycle transfer = topo.migrationOneWay(from_core, to_core);
     cores[thread.core].cycles().migration += transfer;
     countMigration(from_core, to_core);
-    if (mSteals != nullptr)
-        ++*mSteals;
     if (trace != nullptr) {
         TraceEvent event;
         event.kind = TraceEventKind::Steal;
@@ -1017,17 +1010,10 @@ System::maybeSteal(unsigned thief, Cycle now)
 void
 System::countMigration(CoreId from, CoreId to)
 {
-    if (topo.nodeOf(from) == topo.nodeOf(to)) {
-        if (mMigIntra != nullptr)
-            ++*mMigIntra;
-        if (measuring)
-            ++migIntraMeasured;
-    } else {
-        if (mMigInter != nullptr)
-            ++*mMigInter;
-        if (measuring)
-            ++migInterMeasured;
-    }
+    if (topo.nodeOf(from) == topo.nodeOf(to))
+        ++migIntraMeasured;
+    else
+        ++migInterMeasured;
 }
 
 // ---------------------------------------------------------------------
@@ -1076,10 +1062,7 @@ System::dispatchRequest(std::uint32_t tid, const Request &request)
 {
     if (servingDone)
         return;
-    if (mRequestsOffered != nullptr)
-        ++*mRequestsOffered;
-    if (measuring)
-        ++requestsOfferedMeasured;
+    ++requestsOfferedMeasured;
     requestQueues[tid].push_back(request);
     Thread &thread = threads[tid];
     if (thread.idle) {
@@ -1135,8 +1118,6 @@ System::completeRequest(std::uint32_t tid, Cycle now)
     const Cycle latency = now - thread.currentRequest.issued;
 
     ++requestsCompletedTotal;
-    if (mRequestsCompleted != nullptr)
-        ++*mRequestsCompleted;
     if (mRequestLatency != nullptr)
         mRequestLatency->add(latency);
     if (trace != nullptr) {
@@ -1352,8 +1333,6 @@ System::collectResults() const
     if (cfg.offloadEnabled) {
         const unsigned K = queues.size();
         double total_util = 0.0;
-        std::uint64_t steals = 0;
-        std::uint64_t spills = 0;
         results.osQueues.reserve(K);
         for (unsigned k = 0; k < K; ++k) {
             const OsCoreQueue &q = queues.queue(k);
@@ -1372,12 +1351,10 @@ System::collectResults() const
             entry.queueDelay = q.queueDelay();
             entry.wait = q.waitHistogram();
             total_util += entry.utilization;
-            steals += entry.stealsIn;
-            spills += entry.spillsIn;
             results.osQueues.push_back(std::move(entry));
         }
-        results.steals = steals;
-        results.spills = spills;
+        results.steals = queues.steals();
+        results.spills = queues.spills();
         results.numaMigrationsIntra = migIntraMeasured;
         results.numaMigrationsInter = migInterMeasured;
         results.osCoreUtilization = total_util / K;

@@ -268,7 +268,8 @@ class System
      * reference-tape binding is carried over at the same segment (the
      * clone's own regions were never advanced). Trace sinks and metric
      * registries are NOT carried over; the clone starts
-     * uninstrumented (attach fresh ones if needed). The clone
+     * uninstrumented (a fresh trace sink may attach; a registry may
+     * not, once the original had started). The clone
      * and the original then evolve independently and deterministically:
      * resuming either produces the stream the original would have.
      */
@@ -284,7 +285,9 @@ class System
      * organization, thresholds, decision costs, measurement horizon);
      * the prefix-defining fields are asserted equal. This is the fork
      * step of the sweep fast path: one warm snapshot, K cheap clones,
-     * each reconfigured to its own policy point.
+     * each reconfigured to its own policy point. No metric registry
+     * may be attached (asserted): the rebuilt policy objects are what
+     * its series would poll.
      */
     void reconfigureForMeasurement(const SystemConfig &config);
 
@@ -301,8 +304,10 @@ class System
     /**
      * Attach a metric registry (see sim/metrics.hh).
      *
-     * Must be called at most once, before run(). Registers every
-     * layer's metrics — memory hierarchy, predictors, dynamic-N
+     * Must be called at most once, before run() and
+     * runToMeasurementStart() (asserted; a clone of a started system
+     * counts as started), so counters include the warm-up. Registers
+     * every layer's metrics — memory hierarchy, predictors, dynamic-N
      * controller, OS-core queue, event queue, system-level counters,
      * process-wide log counts — and drives the registry's periodic
      * sampler from instruction retirement. The registry must outlive
@@ -468,6 +473,14 @@ class System
     /** Switch from warmup to the measured region. */
     void enterMeasurement();
 
+    /**
+     * Zero every measured-region statistic (component Stats, counts,
+     * distributions, per-thread quotas). The one reset both measured-
+     * region entries share; with a registry attached it runs inside
+     * MetricRegistry::carryAcrossReset().
+     */
+    void resetMeasuredStats();
+
     /** Schedule the next threadStep. */
     void scheduleThread(std::uint32_t tid, Cycle when);
 
@@ -547,16 +560,6 @@ class System
     InstCount metricsInterval = 0;
     /** Next total-retired instant to sample at. */
     InstCount nextMetricsSample = 0;
-    /** Registry-owned system-level counters (null when metrics off). */
-    std::uint64_t *mRetiredUser = nullptr;
-    std::uint64_t *mRetiredOs = nullptr;
-    std::uint64_t *mInvocations = nullptr;
-    std::uint64_t *mOffloads = nullptr;
-    /** Registry-owned NUMA counters (null when metrics off). */
-    std::uint64_t *mMigIntra = nullptr;
-    std::uint64_t *mMigInter = nullptr;
-    std::uint64_t *mSteals = nullptr;
-    std::uint64_t *mSpills = nullptr;
 
     // Phase machinery.
     /** beginRun() has seeded the event queue. */
@@ -577,7 +580,9 @@ class System
     /** The configured dynamic-N feedback value for the ending epoch. */
     double epochFeedback();
 
-    // Measured-region invocation stats.
+    // Measured-region invocation stats. The counts also run during
+    // warm-up (zeroed by resetMeasuredStats()), so the metric registry
+    // polls them as lifetime counters.
     std::uint64_t invocationsMeasured = 0;
     std::uint64_t offloadedMeasured = 0;
     std::uint64_t migIntraMeasured = 0;
@@ -596,14 +601,13 @@ class System
     Request pendingArrival;
     std::uint64_t requestsCompletedTotal = 0;
     std::uint64_t requestsCompletedMeasured = 0;
+    /** Counts warm-up arrivals too, like invocationsMeasured. */
     std::uint64_t requestsOfferedMeasured = 0;
     LatencyHistogram requestLatency;
     RunningStat requestDispatchWait;
     bool servingDone = false;
     Cycle servingEndCycle = 0;
-    // Registry-owned serving counters (null when metrics off).
-    std::uint64_t *mRequestsOffered = nullptr;
-    std::uint64_t *mRequestsCompleted = nullptr;
+    /** Registry-owned latency histogram (null when metrics off). */
     LogHistogram *mRequestLatency = nullptr;
 
     /** Tail accounting for one completed invocation. */

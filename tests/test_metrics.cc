@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,24 +61,59 @@ smallConfig()
 TEST(MetricRegistry, CounterUpdatesAreVisibleInSeriesValues)
 {
     MetricRegistry registry;
-    std::uint64_t *hits = registry.counter("mem.hits");
+    std::uint64_t hits = 0;
+    registry.counterFn("mem.hits", [&] { return hits; });
     EXPECT_EQ(registry.seriesValue("mem.hits"), 0.0);
-    *hits += 3;
-    ++*hits;
+    hits += 3;
+    ++hits;
     EXPECT_EQ(registry.seriesValue("mem.hits"), 4.0);
     EXPECT_EQ(registry.series().size(), 1u);
     EXPECT_EQ(registry.series()[0].kind, MetricKind::Counter);
 }
 
-TEST(MetricRegistry, CounterPointersStayStableAcrossRegistrations)
+TEST(MetricRegistry, CarryAcrossResetKeepsCountersLifetimeMonotone)
 {
     MetricRegistry registry;
-    std::uint64_t *first = registry.counter("a");
-    // Enough registrations to force internal growth.
-    for (int i = 0; i < 100; ++i)
-        registry.counter("c" + std::to_string(i));
-    ++*first;
-    EXPECT_EQ(registry.seriesValue("a"), 1.0);
+    std::uint64_t measured = 0;
+    std::uint64_t lifetime = 0;
+    double level = -0.0;
+    registry.counterFn("reset.count", [&] { return measured; });
+    registry.counterFn("lifetime.count", [&] { return lifetime; });
+    registry.gauge("level", [&] { return level; });
+
+    measured = 7;
+    lifetime = 4;
+    registry.carryAcrossReset([&] {
+        measured = 0;
+        level = 0.0;
+    });
+    // The reset source carries its warm-up count; the reset-free one
+    // and the gauge read unchanged.
+    EXPECT_EQ(registry.seriesValue("reset.count"), 7.0);
+    EXPECT_EQ(registry.seriesValue("lifetime.count"), 4.0);
+    EXPECT_EQ(registry.seriesValue("level"), 0.0);
+
+    measured = 2;
+    ++lifetime;
+    EXPECT_EQ(registry.seriesValue("reset.count"), 9.0);
+    EXPECT_EQ(registry.seriesValue("lifetime.count"), 5.0);
+
+    // Carries accumulate across repeated resets.
+    registry.carryAcrossReset([&] { measured = 0; });
+    measured = 1;
+    EXPECT_EQ(registry.seriesValue("reset.count"), 10.0);
+
+    // A gauge is never offset, not even by +0.0 (which would flip -0).
+    level = -0.0;
+    EXPECT_TRUE(std::signbit(registry.seriesValue("level")));
+}
+
+TEST(MetricRegistryDeath, ResetThatRaisesACounterPanics)
+{
+    MetricRegistry registry;
+    std::uint64_t count = 1;
+    registry.counterFn("a", [&] { return count; });
+    EXPECT_DEATH(registry.carryAcrossReset([&] { count = 2; }), "");
 }
 
 TEST(MetricRegistry, PolledCounterAndGaugeReadAtSampleTime)
@@ -117,8 +154,9 @@ TEST(MetricRegistry, DuplicateNameIsFatal)
 {
     ScopedFatalThrows guard;
     MetricRegistry registry;
-    registry.counter("x.y");
-    EXPECT_THROW(registry.counter("x.y"), FatalError);
+    auto zero = [] { return std::uint64_t{0}; };
+    registry.counterFn("x.y", zero);
+    EXPECT_THROW(registry.counterFn("x.y", zero), FatalError);
     // Histogram base names share the same namespace.
     EXPECT_THROW(registry.histogram("x.y"), FatalError);
 }
@@ -127,9 +165,10 @@ TEST(MetricRegistry, InvalidNameIsFatal)
 {
     ScopedFatalThrows guard;
     MetricRegistry registry;
-    EXPECT_THROW(registry.counter(""), FatalError);
-    EXPECT_THROW(registry.counter("Upper.case"), FatalError);
-    EXPECT_THROW(registry.counter("space here"), FatalError);
+    auto zero = [] { return std::uint64_t{0}; };
+    EXPECT_THROW(registry.counterFn("", zero), FatalError);
+    EXPECT_THROW(registry.counterFn("Upper.case", zero), FatalError);
+    EXPECT_THROW(registry.counterFn("space here", zero), FatalError);
 }
 
 TEST(MetricRegistry, UnknownSeriesValueIsFatal)
@@ -144,18 +183,19 @@ TEST(MetricRegistry, RegistrationAfterSamplingIsFatal)
 {
     ScopedFatalThrows guard;
     MetricRegistry registry;
-    registry.counter("a");
+    auto zero = [] { return std::uint64_t{0}; };
+    registry.counterFn("a", zero);
     registry.takeSample(1, 1);
-    EXPECT_THROW(registry.counter("b"), FatalError);
+    EXPECT_THROW(registry.counterFn("b", zero), FatalError);
 }
 
 TEST(MetricRegistry, EqualInstantSampleIsSkippedUnlessRefreshed)
 {
     MetricRegistry registry;
-    std::uint64_t *count = registry.counter("a");
-    *count = 1;
+    std::uint64_t count = 1;
+    registry.counterFn("a", [&] { return count; });
     const std::size_t first = registry.takeSample(100, 10);
-    *count = 5;
+    count = 5;
 
     // Same instant: the existing row covers it and keeps its values.
     const std::size_t again = registry.takeSample(100, 12);
@@ -174,7 +214,7 @@ TEST(MetricRegistry, EqualInstantSampleIsSkippedUnlessRefreshed)
 TEST(MetricRegistryDeath, NonMonotoneInstantPanics)
 {
     MetricRegistry registry;
-    registry.counter("a");
+    registry.counterFn("a", [] { return std::uint64_t{0}; });
     registry.takeSample(100, 10);
     EXPECT_DEATH(registry.takeSample(99, 11), "");
 }
@@ -184,7 +224,7 @@ TEST(MetricRegistry, MeasurementStartDefaultsToNoSample)
     MetricRegistry registry;
     EXPECT_EQ(registry.measurementStartSample(),
               MetricRegistry::kNoSample);
-    registry.counter("a");
+    registry.counterFn("a", [] { return std::uint64_t{0}; });
     const std::size_t row = registry.takeSample(10, 10);
     registry.setMeasurementStartSample(row);
     EXPECT_EQ(registry.measurementStartSample(), row);
@@ -196,13 +236,13 @@ TEST(MetricRegistry, MeasurementStartDefaultsToNoSample)
 TEST(MetricsDocument, RoundTripsThroughReader)
 {
     MetricRegistry registry(/*sample_every=*/500);
-    std::uint64_t *count = registry.counter("a.count");
+    std::uint64_t count = 10;
+    registry.counterFn("a.count", [&] { return count; });
     double level = 1.5;
     registry.gauge("a.level", [&] { return level; });
 
-    *count = 10;
     registry.setMeasurementStartSample(registry.takeSample(500, 100));
-    *count = 25;
+    count = 25;
     level = -0.25;
     registry.takeSample(1000, 220);
 
@@ -232,8 +272,7 @@ TEST(MetricsDocument, RoundTripsThroughReader)
 TEST(MetricsDocument, WriterAndFileLoaderAgree)
 {
     MetricRegistry registry;
-    std::uint64_t *count = registry.counter("a");
-    *count = 3;
+    registry.counterFn("a", [] { return std::uint64_t{3}; });
     registry.takeSample(10, 10);
 
     const SystemConfig config = smallConfig();
@@ -257,10 +296,10 @@ TEST(MetricsReader, RejectsGarbage)
 TEST(MetricsValidator, FlagsBrokenInvariants)
 {
     MetricRegistry registry;
-    std::uint64_t *count = registry.counter("a");
-    *count = 1;
+    std::uint64_t count = 1;
+    registry.counterFn("a", [&] { return count; });
     registry.takeSample(10, 10);
-    *count = 2;
+    count = 2;
     registry.takeSample(20, 20);
     MetricsFile file =
         parseMetricsDocument(metricsDocument(registry, smallConfig()));
@@ -304,68 +343,249 @@ TEST(MetricsValidator, FlagsBrokenInvariants)
 // ---------------------------------------------------------------------
 // System instrumentation
 
+/** Row of `registry` taken at measurement start. */
+const MetricRegistry::Sample &
+markRow(const MetricRegistry &registry)
+{
+    EXPECT_NE(registry.measurementStartSample(),
+              MetricRegistry::kNoSample);
+    return registry.samples()[registry.measurementStartSample()];
+}
+
+/** Value of one series at the measurement-start row. */
+double
+atMark(const MetricRegistry &registry, const std::string &name)
+{
+    const std::ptrdiff_t idx = registry.seriesIndex(name);
+    EXPECT_GE(idx, 0) << name;
+    return idx < 0 ? 0.0
+                   : markRow(registry).values[static_cast<std::size_t>(
+                         idx)];
+}
+
+/** Live value minus the mark row: the series' measured region. */
+double
+measured(const MetricRegistry &registry, const std::string &name)
+{
+    return registry.seriesValue(name) - atMark(registry, name);
+}
+
 TEST(MetricsSystem, RegistryTotalsMatchStatsAggregates)
 {
-    // The consistency cross-check: registry counters are never reset,
-    // so "live value minus the measurement-start row" must equal the
-    // measured-region Stats aggregates exactly.
+    // The consistency cross-check: counters carry across the
+    // measurement-start Stats reset, so "live value minus the
+    // measurement-start row" must equal the measured-region Stats
+    // aggregates exactly, and the mark row itself the warm-up counts.
     const SystemConfig config = smallConfig();
     MetricRegistry registry(/*sample_every=*/10'000);
     System system(config);
     system.setMetricRegistry(&registry);
     const SimResults results = system.run();
-
-    ASSERT_NE(registry.measurementStartSample(),
-              MetricRegistry::kNoSample);
-    const MetricRegistry::Sample &mark =
-        registry.samples()[registry.measurementStartSample()];
-    auto measured = [&](const std::string &name) {
-        const std::ptrdiff_t idx = registry.seriesIndex(name);
-        EXPECT_GE(idx, 0) << name;
-        return registry.seriesValue(name) -
-               mark.values[static_cast<std::size_t>(idx)];
+    auto delta = [&](const std::string &name) {
+        return measured(registry, name);
     };
 
     const MemorySystem &memory = system.memory();
     for (unsigned c = 0; c < memory.numCores(); ++c) {
         const CoreMemStats &stats = memory.stats(c);
         const std::string p = "mem.core" + std::to_string(c) + ".";
-        EXPECT_EQ(measured(p + "l1i.hits"),
+        EXPECT_EQ(delta(p + "l1i.hits"),
                   static_cast<double>(stats.l1i.hits()));
-        EXPECT_EQ(measured(p + "l1i.accesses"),
+        EXPECT_EQ(delta(p + "l1i.accesses"),
                   static_cast<double>(stats.l1i.total()));
-        EXPECT_EQ(measured(p + "l1d.hits"),
+        EXPECT_EQ(delta(p + "l1d.hits"),
                   static_cast<double>(stats.l1d.hits()));
-        EXPECT_EQ(measured(p + "l1d.accesses"),
+        EXPECT_EQ(delta(p + "l1d.accesses"),
                   static_cast<double>(stats.l1d.total()));
-        EXPECT_EQ(measured(p + "l2.user.hits"),
+        EXPECT_EQ(delta(p + "l2.user.hits"),
                   static_cast<double>(stats.l2User.hits()));
-        EXPECT_EQ(measured(p + "l2.user.accesses"),
+        EXPECT_EQ(delta(p + "l2.user.accesses"),
                   static_cast<double>(stats.l2User.total()));
-        EXPECT_EQ(measured(p + "l2.os.hits"),
+        EXPECT_EQ(delta(p + "l2.os.hits"),
                   static_cast<double>(stats.l2Os.hits()));
-        EXPECT_EQ(measured(p + "l2.os.accesses"),
+        EXPECT_EQ(delta(p + "l2.os.accesses"),
                   static_cast<double>(stats.l2Os.total()));
-        EXPECT_EQ(measured(p + "c2c_transfers"),
+        EXPECT_EQ(delta(p + "c2c_transfers"),
                   static_cast<double>(stats.c2cTransfers));
-        EXPECT_EQ(measured(p + "inval.sent"),
+        EXPECT_EQ(delta(p + "inval.sent"),
                   static_cast<double>(stats.invalidationsSent));
-        EXPECT_EQ(measured(p + "inval.received"),
+        EXPECT_EQ(delta(p + "inval.received"),
                   static_cast<double>(stats.invalidationsReceived));
-        EXPECT_EQ(measured(p + "upgrades"),
+        EXPECT_EQ(delta(p + "upgrades"),
                   static_cast<double>(stats.upgrades));
-        EXPECT_EQ(measured(p + "memory_fetches"),
+        EXPECT_EQ(delta(p + "memory_fetches"),
                   static_cast<double>(stats.memoryFetches));
-    }
 
-    EXPECT_EQ(measured("sys.retired.user") + measured("sys.retired.os"),
+        // The tag stores count every lookup over their lifetime, so
+        // the warm-up share is lifetime minus measured: exactly what
+        // the mark row must hold after the carry.
+        const SetAssocCache &l1i = memory.l1i(c);
+        const SetAssocCache &l1d = memory.l1d(c);
+        const SetAssocCache &l2 = memory.l2(c);
+        EXPECT_EQ(atMark(registry, p + "l1i.hits"),
+                  static_cast<double>(l1i.hits() - stats.l1i.hits()));
+        EXPECT_EQ(atMark(registry, p + "l1i.accesses"),
+                  static_cast<double>(l1i.hits() + l1i.misses() -
+                                      stats.l1i.total()));
+        EXPECT_EQ(atMark(registry, p + "l1d.hits"),
+                  static_cast<double>(l1d.hits() - stats.l1d.hits()));
+        EXPECT_EQ(atMark(registry, p + "l1d.accesses"),
+                  static_cast<double>(l1d.hits() + l1d.misses() -
+                                      stats.l1d.total()));
+        EXPECT_EQ(atMark(registry, p + "l2.user.accesses") +
+                      atMark(registry, p + "l2.os.accesses"),
+                  static_cast<double>(l2.hits() + l2.misses() -
+                                      stats.l2User.total() -
+                                      stats.l2Os.total()));
+    }
+    EXPECT_GT(atMark(registry, "mem.core0.l1d.accesses"), 0.0);
+
+    EXPECT_EQ(delta("sys.retired.user") + delta("sys.retired.os"),
               static_cast<double>(results.retired));
-    EXPECT_EQ(measured("sys.invocations"),
+    // The mark row is taken the moment warm-up ends, at instant ==
+    // warm-up retired instructions.
+    const MetricRegistry::Sample &mark = markRow(registry);
+    EXPECT_GE(mark.instant, config.warmupInstructions);
+    EXPECT_EQ(atMark(registry, "sys.retired.user") +
+                  atMark(registry, "sys.retired.os"),
+              static_cast<double>(mark.instant));
+    EXPECT_EQ(delta("sys.invocations"),
               static_cast<double>(results.invocations));
-    EXPECT_EQ(measured("sys.offloads"),
+    EXPECT_GT(atMark(registry, "sys.invocations"), 0.0);
+    EXPECT_EQ(delta("sys.offloads"),
               static_cast<double>(results.offloaded));
-    EXPECT_EQ(measured("pred.t0.observations"),
+    EXPECT_EQ(delta("pred.t0.observations"),
               static_cast<double>(results.accuracy.samples()));
+    EXPECT_GT(atMark(registry, "pred.t0.observations"), 0.0);
+    EXPECT_EQ(atMark(registry, "pred.t0.lookups"),
+              atMark(registry, "sys.invocations"));
+}
+
+/** Open-loop serving on two OS cores over two nodes with work
+ *  stealing: every invocation off-loads, so the queues steal and
+ *  spill and every `numa.*`, `serving.*` and `os.queue.qK.*` series
+ *  is live. */
+SystemConfig
+stealServingConfig()
+{
+    SystemConfig config = ExperimentRunner::hardwareConfig(
+        WorkloadKind::Apache, /*static_n=*/0, /*migration_one_way=*/100);
+    config.userCores = 5;
+    config.topology.osCores = 2;
+    config.topology.numaNodes = 2;
+    config.topology.placement = OsPlacement::Spread;
+    config.topology.dispatch = OsDispatchPolicy::WorkStealing;
+    config.topology.spillDepth = 1;
+    config.topology.intraNodeHopCycles = 20;
+    config.topology.interNodeHopCycles = 400;
+    auto serving = std::make_shared<ServingConfig>();
+    serving->arrival = ArrivalModel::OpenLoop;
+    serving->meanInterarrivalCycles = 4'000.0;
+    serving->meanSegments = 3.0;
+    serving->warmupRequests = 40;
+    serving->measureRequests = 150;
+    config.serving = serving;
+    return config;
+}
+
+TEST(MetricsSystem, MultiQueueServingTotalsMatchResults)
+{
+    const SystemConfig config = stealServingConfig();
+    MetricRegistry registry(/*sample_every=*/20'000);
+    System system(config);
+    system.setMetricRegistry(&registry);
+    const SimResults results = system.run();
+    auto delta = [&](const std::string &name) {
+        return measured(registry, name);
+    };
+
+    EXPECT_EQ(delta("numa.migrations.intra"),
+              static_cast<double>(results.numaMigrationsIntra));
+    EXPECT_EQ(delta("numa.migrations.inter"),
+              static_cast<double>(results.numaMigrationsInter));
+    EXPECT_EQ(delta("numa.steals"), static_cast<double>(results.steals));
+    EXPECT_EQ(delta("numa.spills"), static_cast<double>(results.spills));
+    EXPECT_GT(results.steals, 0u);
+    EXPECT_GT(results.spills, 0u);
+    EXPECT_GT(atMark(registry, "numa.migrations.intra") +
+                  atMark(registry, "numa.migrations.inter"),
+              0.0);
+    EXPECT_EQ(delta("serving.offered"),
+              static_cast<double>(results.requestsOffered));
+    EXPECT_EQ(delta("serving.completed"),
+              static_cast<double>(results.requestsCompleted));
+    // The warmupRequests-th completion ends warm-up.
+    EXPECT_EQ(atMark(registry, "serving.completed"),
+              static_cast<double>(config.serving->warmupRequests));
+    EXPECT_GT(atMark(registry, "serving.offered"), 0.0);
+
+    // Queue conservation at every row: each offer is admitted (the
+    // registry-owned wait histogram counts every admission, steals
+    // included) or still waiting.
+    std::vector<std::size_t> offers, admitted, depth;
+    for (unsigned k = 0; k < 2; ++k) {
+        const std::string p = "os.queue.q" + std::to_string(k) + ".";
+        offers.push_back(
+            static_cast<std::size_t>(registry.seriesIndex(p + "offers")));
+        admitted.push_back(static_cast<std::size_t>(
+            registry.seriesIndex(p + "wait.count")));
+        depth.push_back(
+            static_cast<std::size_t>(registry.seriesIndex(p + "depth")));
+    }
+    for (const MetricRegistry::Sample &row : registry.samples()) {
+        double offered = 0.0;
+        double settled = 0.0;
+        for (unsigned k = 0; k < 2; ++k) {
+            offered += row.values[offers[k]];
+            settled += row.values[admitted[k]] + row.values[depth[k]];
+        }
+        EXPECT_EQ(offered, settled) << "instant " << row.instant;
+    }
+    EXPECT_GT(atMark(registry, "os.queue.q0.offers"), 0.0);
+    EXPECT_GT(atMark(registry, "os.queue.q1.offers"), 0.0);
+
+    // A carry that lost the warm-up would make counters drop.
+    const std::vector<std::string> problems = validateMetricsFile(
+        parseMetricsDocument(metricsDocument(registry, config)));
+    EXPECT_TRUE(problems.empty()) << problems.front();
+}
+
+// A late registry would export counters without their warm-up and no
+// measurement-start row; reconfiguring would rebuild what it polls.
+TEST(MetricsSystemDeath, AttachAfterRunToMeasurementStartPanics)
+{
+    System system(smallConfig());
+    system.runToMeasurementStart();
+    MetricRegistry registry;
+    EXPECT_DEATH(system.setMetricRegistry(&registry), "before run");
+}
+
+TEST(MetricsSystemDeath, AttachAfterRunPanics)
+{
+    System system(smallConfig());
+    (void)system.run();
+    MetricRegistry registry;
+    EXPECT_DEATH(system.setMetricRegistry(&registry), "before run");
+}
+
+TEST(MetricsSystemDeath, AttachToWarmClonePanics)
+{
+    System system(smallConfig());
+    system.runToMeasurementStart();
+    const std::unique_ptr<System> fork = system.clone();
+    MetricRegistry registry;
+    EXPECT_DEATH(fork->setMetricRegistry(&registry), "before run");
+}
+
+TEST(MetricsSystemDeath, ReconfigureWithRegistryAttachedPanics)
+{
+    MetricRegistry registry;
+    System system(smallConfig());
+    system.setMetricRegistry(&registry);
+    system.runToMeasurementStart();
+    SystemConfig other = smallConfig();
+    other.staticThreshold = 5000;
+    EXPECT_DEATH(system.reconfigureForMeasurement(other), "rebuild");
 }
 
 TEST(MetricsSystem, DynamicControllerSeriesMatchResults)

@@ -43,7 +43,7 @@ std::string
 metricsFile(const std::string &name, std::uint64_t value)
 {
     MetricRegistry registry;
-    *registry.counter("a") = value;
+    registry.counterFn("a", [value] { return value; });
     registry.takeSample(10, 10);
     const std::string path = testing::TempDir() + name;
     EXPECT_TRUE(writeMetricsFile(registry, SystemConfig{}, path));

@@ -204,9 +204,9 @@ TEST(System, TailSharesAreMonotone)
 }
 
 // The three canonical OS-core queue regimes, each cross-checked
-// against the registry's os.queue.* series. Warmup is zero so the
-// never-reset registry metrics and the measurement-reset SimResults
-// cover the same cycles.
+// against the registry's os.queue.* series, read live (the system
+// they poll stays in scope). Warmup is zero so the lifetime registry
+// series and the measurement-reset SimResults cover the same cycles.
 
 TEST(System, QueueDelayZeroWhenNothingOffloads)
 {
@@ -216,8 +216,9 @@ TEST(System, QueueDelayZeroWhenNothingOffloads)
     config.policy = PolicyKind::HardwarePredictor;
     config.staticThreshold = 1ULL << 40; // unreachable: no off-loads
     MetricRegistry registry;
-    const SimResults r =
-        ExperimentRunner::run(config, nullptr, &registry);
+    System system(config);
+    system.setMetricRegistry(&registry);
+    const SimResults r = system.run();
     EXPECT_EQ(r.offloaded, 0u);
     EXPECT_DOUBLE_EQ(r.meanQueueDelay, 0.0);
     EXPECT_DOUBLE_EQ(r.maxQueueDelay, 0.0);
@@ -236,8 +237,9 @@ TEST(System, SingleOffloaderNeverQueues)
     config.staticThreshold = 100;
     config.migrationOneWayCycles = 100;
     MetricRegistry registry;
-    const SimResults r =
-        ExperimentRunner::run(config, nullptr, &registry);
+    System system(config);
+    system.setMetricRegistry(&registry);
+    const SimResults r = system.run();
     EXPECT_GT(r.offloaded, 0u);
     EXPECT_DOUBLE_EQ(r.meanQueueDelay, 0.0);
     EXPECT_DOUBLE_EQ(r.maxQueueDelay, 0.0);
@@ -261,8 +263,9 @@ TEST(System, SaturatedOsCoreQueueDelayMatchesRegistry)
     config.staticThreshold = 100;
     config.migrationOneWayCycles = 100;
     MetricRegistry registry;
-    const SimResults r =
-        ExperimentRunner::run(config, nullptr, &registry);
+    System system(config);
+    system.setMetricRegistry(&registry);
+    const SimResults r = system.run();
     EXPECT_GT(r.offloaded, 0u);
     EXPECT_GT(r.meanQueueDelay, 0.0);
     EXPECT_GE(r.maxQueueDelay, r.meanQueueDelay);

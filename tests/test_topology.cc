@@ -206,8 +206,10 @@ TEST(WorkStealing, ConservationNothingLostOrDuplicated)
         SystemConfig config = stealConfig(seed);
         MemoryTraceSink sink;
         MetricRegistry registry;
-        const SimResults r =
-            ExperimentRunner::run(config, &sink, &registry);
+        System system(config);
+        system.setTraceSink(&sink);
+        system.setMetricRegistry(&registry);
+        const SimResults r = system.run();
         const std::vector<TraceEvent> events = sink.events();
 
         // Every off-load that migrated out migrated back and ended
@@ -363,7 +365,9 @@ TEST(WorkStealing, MergedPerQueueHistogramsPoolExactly)
 TEST(TopologyMetrics, MultiQueueRunsExportPerQueueNames)
 {
     MetricRegistry registry;
-    ExperimentRunner::run(stealConfig(), nullptr, &registry);
+    System system(stealConfig());
+    system.setMetricRegistry(&registry);
+    (void)system.run();
     EXPECT_GE(registry.seriesIndex("os.queue.q0.offers"), 0);
     EXPECT_GE(registry.seriesIndex("os.queue.q1.offers"), 0);
     EXPECT_GE(registry.seriesIndex("numa.migrations.intra"), 0);
@@ -380,7 +384,9 @@ TEST(TopologyMetrics, MultiQueueRunsExportPerQueueNames)
 TEST(TopologyMetrics, SingleQueueRunsKeepLegacyNames)
 {
     MetricRegistry registry;
-    ExperimentRunner::run(offloadConfig(), nullptr, &registry);
+    System system(offloadConfig());
+    system.setMetricRegistry(&registry);
+    (void)system.run();
     EXPECT_GE(registry.seriesIndex("os.queue.offers"), 0);
     EXPECT_LT(registry.seriesIndex("os.queue.q0.offers"), 0);
     // NUMA migration accounting exists even on the default machine

@@ -13,15 +13,25 @@
  *   build/examples/example_oscar trace capture <name> \
  *       --out tests/golden/<name>.trace.jsonl
  * (see EXPERIMENTS.md).
+ *
+ * Two scenarios also have a golden `oscar.metrics.v1` file, sampled
+ * every kGoldenMetricsEvery retired instructions, which pins every
+ * series name, kind, order and value. On a mismatch the test writes
+ * the fresh document to its working directory (build/tests/ under
+ * ctest) and prints the copy command that re-blesses it.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "sim/metrics.hh"
 #include "sim/trace_diff.hh"
+#include "system/experiment.hh"
+#include "system/metrics_capture.hh"
 #include "system/trace_capture.hh"
 
 #ifndef OSCAR_GOLDEN_TRACE_DIR
@@ -82,6 +92,54 @@ goldenNames()
 
 INSTANTIATE_TEST_SUITE_P(Catalogue, GoldenTraceTest,
                          testing::ValuesIn(goldenNames()),
+                         [](const auto &info) { return info.param; });
+
+/** Sampling interval of the golden metrics files: coarse, so each
+ *  file stays a handful of rows. */
+constexpr std::uint64_t kGoldenMetricsEvery = 20'000;
+
+class GoldenMetricsTest : public testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(GoldenMetricsTest, MatchesCheckedInMetrics)
+{
+    const GoldenTraceConfig *golden = findGoldenTraceConfig(GetParam());
+    ASSERT_NE(golden, nullptr);
+    MetricRegistry registry(kGoldenMetricsEvery);
+    (void)ExperimentRunner::run(golden->config, nullptr, &registry);
+    const std::string actual = metricsDocument(registry, golden->config);
+
+    const std::string name = golden->name + ".metrics.jsonl";
+    const std::string path =
+        std::string(OSCAR_GOLDEN_TRACE_DIR) + "/" + name;
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string expected = buf.str();
+    if (expected == actual)
+        return;
+
+    // Report the first divergent line, and leave the fresh document
+    // where re-blessing is a copy.
+    std::istringstream left(expected), right(actual);
+    std::string l, r;
+    std::size_t line = 1;
+    while (std::getline(left, l) && std::getline(right, r) && l == r)
+        ++line;
+    const std::filesystem::path fresh =
+        std::filesystem::absolute(name);
+    std::ofstream(fresh, std::ios::binary) << actual;
+    ADD_FAILURE() << "golden metrics '" << path << "' differ from this "
+                  << "build at line " << line << " (missing or "
+                  << "truncated files differ at their end).\n"
+                  << "If the change is intended, re-bless with:\n"
+                  << "  cp " << fresh.string() << " " << path << "\n";
+}
+
+INSTANTIATE_TEST_SUITE_P(Catalogue, GoldenMetricsTest,
+                         testing::Values("apache_hi_static",
+                                         "apache_hi_numa_steal"),
                          [](const auto &info) { return info.param; });
 
 TEST(GoldenTraceCatalogue, NamesAreUniqueAndLookupWorks)
