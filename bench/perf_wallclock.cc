@@ -41,6 +41,9 @@
  *    of 80 hot AStates (mostly hits — the paper's steady state).
  *  - predictor_cam_churn: CAM predict/update over 4096 uniform
  *    AStates (mostly misses — constant eviction pressure).
+ *  - predictor_dm_hot / predictor_infinite_hot: the predictor_cam_hot
+ *    stream through the 1500-entry tag-less direct-mapped RAM and the
+ *    unbounded table, the other two organizations of Section III-A.
  *
  * Methodology: every scenario runs `--warmup` untimed iterations and
  * then `--reps` timed repetitions; the report carries each run plus
@@ -196,7 +199,7 @@ ScenarioResult
 measure(const std::string &name, const PerfOptions &opts, F &&body,
         int rep_boost = 1)
 {
-    std::printf("  %-22s", name.c_str());
+    std::printf("  %-23s", name.c_str());
     std::fflush(stdout);
     for (int i = 0; i < opts.warmup; ++i)
         body();
@@ -588,6 +591,7 @@ uniformAStateStream(std::size_t count, std::size_t distinct)
     return stream;
 }
 
+template <typename Predictor>
 ScenarioResult
 runPredictorScenario(const std::string &name, const PerfOptions &opts,
                      const std::vector<std::uint64_t> &stream)
@@ -595,7 +599,7 @@ runPredictorScenario(const std::string &name, const PerfOptions &opts,
     constexpr std::size_t kOps = 2'000'000;
     InstCount sink = 0;
     ScenarioResult result = measure(name, opts, [&] {
-        CamPredictor predictor;
+        Predictor predictor;
         const std::size_t mask = stream.size() - 1;
         for (std::size_t i = 0; i < kOps; ++i) {
             const std::uint64_t astate = stream[i & mask];
@@ -837,13 +841,25 @@ scenarioTable()
         {"metrics_stream", runMetricsScenario},
         {"predictor_cam_hot",
          [](const PerfOptions &opts) {
-             return runPredictorScenario("predictor_cam_hot", opts,
-                                         zipfAStateStream(4096, 80));
+             return runPredictorScenario<CamPredictor>(
+                 "predictor_cam_hot", opts, zipfAStateStream(4096, 80));
          }},
         {"predictor_cam_churn",
          [](const PerfOptions &opts) {
-             return runPredictorScenario("predictor_cam_churn", opts,
-                                         uniformAStateStream(4096, 4096));
+             return runPredictorScenario<CamPredictor>(
+                 "predictor_cam_churn", opts,
+                 uniformAStateStream(4096, 4096));
+         }},
+        {"predictor_dm_hot",
+         [](const PerfOptions &opts) {
+             return runPredictorScenario<DirectMappedPredictor>(
+                 "predictor_dm_hot", opts, zipfAStateStream(4096, 80));
+         }},
+        {"predictor_infinite_hot",
+         [](const PerfOptions &opts) {
+             return runPredictorScenario<InfinitePredictor>(
+                 "predictor_infinite_hot", opts,
+                 zipfAStateStream(4096, 80));
          }},
     };
     return table;

@@ -59,25 +59,6 @@ SegmentProfile::finalize()
     alias = std::make_unique<AliasTable>(weights);
 }
 
-namespace
-{
-
-thread_local bool referenceModeFlag = false;
-
-} // namespace
-
-void
-ExecEngine::setReferenceMode(bool on)
-{
-    referenceModeFlag = on;
-}
-
-bool
-ExecEngine::referenceMode()
-{
-    return referenceModeFlag;
-}
-
 std::uint64_t *
 ExecEngine::blockBuffer()
 {
@@ -90,68 +71,10 @@ ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
                     InstCount instructions, const SegmentProfile &profile,
                     Rng &rng)
 {
-    if (referenceModeFlag) {
-        return executeReference(mem, core, ctx, instructions, profile,
-                                rng);
-    }
     return draw(instructions, profile, rng, blockBuffer(),
                 [&](const std::uint64_t *refs, std::size_t count) {
                     return mem.accessBatch(core, ctx, refs, count);
                 });
-}
-
-ExecResult
-ExecEngine::executeReference(MemorySystem &mem, CoreId core,
-                             ExecContext ctx, InstCount instructions,
-                             const SegmentProfile &profile, Rng &rng)
-{
-    oscar_assert(profile.finalized());
-    ExecResult result;
-    if (instructions == 0)
-        return result;
-
-    const FastBound &burst_bound = profile.burstBound();
-    double fetch_accum = 0.0;
-    const double fetch_rate = 1.0 / profile.instrPerFetch();
-
-    InstCount remaining = instructions;
-    while (remaining > 0) {
-        // Instructions until the next data reference: uniform on
-        // [1, 2*instrPerData], preserving the configured mean.
-        InstCount burst = 1 + rng.nextBoundedFast(burst_bound);
-        if (burst > remaining)
-            burst = remaining;
-        result.cycles += burst;
-        remaining -= burst;
-
-        // Instruction-line fetches accrued over the burst.
-        fetch_accum += static_cast<double>(burst) * fetch_rate;
-        while (fetch_accum >= 1.0) {
-            fetch_accum -= 1.0;
-            const Addr pc = profile.code()->nextAccess(rng);
-            const AccessResult fetch =
-                mem.access(core, pc, AccessType::InstrFetch, ctx);
-            ++result.fetches;
-            if (fetch.latency > 1)
-                result.cycles += fetch.latency - 1;
-        }
-
-        if (remaining == 0 || !profile.hasData())
-            continue;
-
-        const RegionAccess &target = profile.sampleData(rng);
-        const bool is_write = rng.nextBool(target.writeFraction);
-        const Addr addr = target.region->nextAccess(rng);
-        const AccessResult access = mem.access(
-            core, addr, is_write ? AccessType::Write : AccessType::Read,
-            ctx);
-        ++result.dataAccesses;
-        // The first cycle of a data reference overlaps the consuming
-        // instruction; only the excess stalls the pipeline.
-        if (access.latency > 1)
-            result.cycles += access.latency - 1;
-    }
-    return result;
 }
 
 } // namespace oscar

@@ -125,21 +125,19 @@ struct ExecResult
  * Stateless executor: charges a segment's instructions and memory
  * references against a core's hierarchy.
  *
- * Two implementations exist. execute() is the production batched
- * kernel: it generates blocks of packed references from the RNG
+ * execute() generates blocks of packed references from the RNG
  * (draw()), then runs each block through MemorySystem::accessBatch.
- * executeReference() is the original one-reference-at-a-time loop,
- * kept verbatim as the behavioural reference (the pattern
- * reference_cache.hh / reference_directory.hh established). The two
- * are interchangeable — identical ExecResult, RNG stream position,
- * memory/directory state and statistics — because reference
+ * Generating a block ahead of its probes is sound because reference
  * *generation* never depends on access outcomes: every RNG draw in the
  * loop is conditioned only on the profile and the regions' own
- * generator state, so hoisting generation ahead of the probes reorders
- * nothing observable. The randomized differential test in
- * tests/test_exec_batch.cc holds the two paths together. The same
- * independence lets a reference tape (system/reference_tape.hh) run
- * draw() once per stream and replay its blocks into many hierarchies.
+ * generator state, so the result — ExecResult, RNG stream position,
+ * memory/directory state and statistics — equals probing each
+ * reference with MemorySystem::access as it is drawn. The randomized
+ * differential test in tests/test_exec_batch.cc holds execute() to
+ * that one-reference-at-a-time loop (tests/reference_exec.hh). The
+ * same independence lets a reference tape (system/reference_tape.hh)
+ * run draw() once per stream and replay its blocks into many
+ * hierarchies.
  */
 class ExecEngine
 {
@@ -187,10 +185,9 @@ class ExecEngine
             out = block;
         };
 
-        // Same loop structure and — critically — the same RNG draw
-        // sequence as executeReference(); the only difference is that
-        // references are packed into a block instead of probed one at
-        // a time.
+        // The RNG draw sequence is the contract: references are packed
+        // into a block instead of probed one at a time, and nothing
+        // else about the loop may change the draws.
         InstCount remaining = instructions;
         while (remaining > 0) {
             InstCount burst = 1 + rng.nextBoundedFast(burst_bound);
@@ -235,7 +232,7 @@ class ExecEngine
     static std::uint64_t *blockBuffer();
 
     /**
-     * Execute a segment (batched kernel).
+     * Execute a segment.
      *
      * @param mem Coherent hierarchy to charge references against.
      * @param core Core the segment runs on.
@@ -247,24 +244,6 @@ class ExecEngine
     static ExecResult execute(MemorySystem &mem, CoreId core,
                               ExecContext ctx, InstCount instructions,
                               const SegmentProfile &profile, Rng &rng);
-
-    /** Execute a segment through the scalar reference loop. */
-    static ExecResult executeReference(MemorySystem &mem, CoreId core,
-                                       ExecContext ctx,
-                                       InstCount instructions,
-                                       const SegmentProfile &profile,
-                                       Rng &rng);
-
-    /**
-     * Route execute() through the scalar reference loop on this thread
-     * (differential tests drive whole systems down both paths without
-     * plumbing a flag through every layer). Thread-local so parallel
-     * sweep workers are unaffected.
-     */
-    static void setReferenceMode(bool on);
-
-    /** Current thread's reference-mode flag. */
-    static bool referenceMode();
 };
 
 } // namespace oscar

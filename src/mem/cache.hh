@@ -14,10 +14,9 @@
  * path probes the L2 for MESI permission). An absent way is encoded as
  * tag == kNoTag rather than a state byte, so the hot lookup loop
  * touches only the tag array. Replacement decisions are bit-identical
- * to the previous array-of-structs implementation
- * (ReferenceSetAssocCache, retained in mem/reference_cache.hh), which
- * the differential test in tests/test_cache_soa.cc checks against
- * randomized traffic.
+ * to the previous array-of-structs implementation (retained as the
+ * test oracle tests/reference_cache.hh), which the differential test
+ * in tests/test_soa_differential.cc checks against randomized traffic.
  */
 
 #ifndef OSCAR_MEM_CACHE_HH_

@@ -60,8 +60,8 @@ struct DirEntry
  * three parallel flat vectors (same probing discipline as FlatHashMap
  * — SplitMix64 hash, linear probing, power-of-two capacity, max load
  * 7/10, backward-shift deletion). Compared to the earlier
- * FlatHashMap<DirEntry> (retained as ReferenceDirectory in
- * mem/reference_directory.hh for the differential test), a probe walks
+ * FlatHashMap<DirEntry> (retained as the test oracle
+ * tests/reference_directory.hh for the differential test), a probe walks
  * only the key array — no separate occupancy bytes, no 16-byte value
  * structs interleaved with anything — so the common lookup touches one
  * cache line. An empty slot holds kEmpty (~0), which no real line

@@ -93,32 +93,9 @@ ExperimentRunner::profileServices(WorkloadKind workload,
 }
 
 SimResults
-ExperimentRunner::run(const SystemConfig &config)
-{
-    return run(config, nullptr);
-}
-
-SimResults
-ExperimentRunner::run(const SystemConfig &config, TraceSink *trace)
-{
-    return run(config, trace, nullptr);
-}
-
-SimResults
 ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
-                      MetricRegistry *metrics)
-{
-    return run(config, trace, metrics, nullptr);
-}
-
-namespace
-{
-
-/** Build and run a system, tape-bound when `tapes` has its stream. */
-SimResults
-runBound(const SystemConfig &config, TraceSink *trace,
-         MetricRegistry *metrics, SpanRecorder *spans,
-         ReferenceTapeStore *tapes)
+                      MetricRegistry *metrics, SpanRecorder *spans,
+                      ReferenceTapeStore *tapes)
 {
     System system(config);
     if (tapes != nullptr) {
@@ -132,23 +109,6 @@ runBound(const SystemConfig &config, TraceSink *trace,
     if (spans != nullptr)
         system.setSpanRecorder(spans);
     return system.run();
-}
-
-} // namespace
-
-SimResults
-ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
-                      MetricRegistry *metrics, SpanRecorder *spans)
-{
-    return runBound(config, trace, metrics, spans, nullptr);
-}
-
-SimResults
-ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
-                      MetricRegistry *metrics, SpanRecorder *spans,
-                      ReferenceTapeStore &tapes)
-{
-    return runBound(config, trace, metrics, spans, &tapes);
 }
 
 namespace
@@ -273,10 +233,11 @@ baselineCacheKey(const SystemConfig &baseline)
 std::mutex baselineMutex;
 std::map<std::string, std::shared_future<SimResults>> baselineCache;
 
-/** The cached baseline of `config`, computed (tape-bound when
- *  `tapes` is given) on a miss. */
+} // namespace
+
 SimResults
-cachedBaseline(const SystemConfig &config, ReferenceTapeStore *tapes)
+ExperimentRunner::baselineResults(const SystemConfig &config,
+                                  ReferenceTapeStore *tapes)
 {
     const SystemConfig baseline = baselineVariant(config);
     const std::string key = baselineCacheKey(baseline);
@@ -299,7 +260,7 @@ cachedBaseline(const SystemConfig &config, ReferenceTapeStore *tapes)
     if (compute) {
         try {
             promise.set_value(
-                runBound(baseline, nullptr, nullptr, nullptr, tapes));
+                run(baseline, nullptr, nullptr, nullptr, tapes));
         } catch (...) {
             // Propagate to every waiter, then forget the entry so a
             // later call can retry instead of replaying the failure.
@@ -309,21 +270,6 @@ cachedBaseline(const SystemConfig &config, ReferenceTapeStore *tapes)
         }
     }
     return future.get();
-}
-
-} // namespace
-
-SimResults
-ExperimentRunner::baselineResults(const SystemConfig &config)
-{
-    return cachedBaseline(config, nullptr);
-}
-
-SimResults
-ExperimentRunner::baselineResults(const SystemConfig &config,
-                                  ReferenceTapeStore &tapes)
-{
-    return cachedBaseline(config, &tapes);
 }
 
 SimResults

@@ -66,44 +66,23 @@ class ExperimentRunner
     static std::shared_ptr<const ServiceProfile>
     profileServices(WorkloadKind workload, std::uint64_t seed = 42);
 
-    /** Build and run a system. */
-    static SimResults run(const SystemConfig &config);
-
     /**
-     * Build and run a system with a trace sink attached (see
-     * sim/trace.hh). A null sink behaves exactly like run(config).
+     * Build and run a system with any combination of trace sink (see
+     * sim/trace.hh), metric registry (sim/metrics.hh) and span
+     * recorder (sim/span.hh) attached; a non-null recorder requires a
+     * serving configuration. The registry must outlive the call. Its
+     * series poll the system, which is gone when the call returns:
+     * read the recorded samples afterwards, not
+     * seriesValue()/readSeries(). With a tape store, the system binds
+     * to its stream's tape when the configuration is eligible (see
+     * system/reference_tape.hh). Results and observer output are the
+     * same whichever arguments are null.
      */
-    static SimResults run(const SystemConfig &config, TraceSink *trace);
-
-    /**
-     * Build and run a system with a trace sink and/or metric registry
-     * attached (see sim/metrics.hh). Null arguments behave exactly
-     * like run(config); the registry must outlive the call. Its series
-     * poll the system, which is gone when the call returns: read the
-     * recorded samples afterwards, not seriesValue()/readSeries().
-     */
-    static SimResults run(const SystemConfig &config, TraceSink *trace,
-                          MetricRegistry *metrics);
-
-    /**
-     * Build and run a system with any combination of trace sink,
-     * metric registry, and span recorder attached (see sim/span.hh).
-     * Null arguments behave exactly like run(config); a non-null
-     * recorder requires a serving configuration.
-     */
-    static SimResults run(const SystemConfig &config, TraceSink *trace,
-                          MetricRegistry *metrics,
-                          SpanRecorder *spans);
-
-    /**
-     * As above, with the system bound to its stream's tape in `tapes`
-     * when the configuration is eligible (see
-     * system/reference_tape.hh); results and observer output are
-     * byte-identical either way.
-     */
-    static SimResults run(const SystemConfig &config, TraceSink *trace,
-                          MetricRegistry *metrics, SpanRecorder *spans,
-                          ReferenceTapeStore &tapes);
+    static SimResults run(const SystemConfig &config,
+                          TraceSink *trace = nullptr,
+                          MetricRegistry *metrics = nullptr,
+                          SpanRecorder *spans = nullptr,
+                          ReferenceTapeStore *tapes = nullptr);
 
     /**
      * Run a configuration and its uni-processor baseline with the same
@@ -121,16 +100,12 @@ class ExperimentRunner
      * encodes all of those fields, so two points share a cached
      * baseline only when their full warmup environment matches — a
      * point with, say, a scaled coupling factor can no longer silently
-     * normalize against the default-environment baseline.
-     */
-    static SimResults baselineResults(const SystemConfig &config);
-
-    /**
-     * As above; a baseline computed here (not found cached) replays
-     * its stream from `tapes` — the sweep runner's tape store.
+     * normalize against the default-environment baseline. With a
+     * tape store (the sweep runner's), a baseline computed here (not
+     * found cached) replays its stream from `tapes`.
      */
     static SimResults baselineResults(const SystemConfig &config,
-                                      ReferenceTapeStore &tapes);
+                                      ReferenceTapeStore *tapes = nullptr);
 
     /**
      * Convenience overload: baseline for the given workload/seed with

@@ -235,7 +235,7 @@ ReferenceTape::replay(std::size_t index, MemorySystem &mem, CoreId core,
 std::shared_ptr<ReferenceTape>
 ReferenceTapeStore::acquire(const SystemConfig &config)
 {
-    if (!ReferenceTape::eligible(config) || ExecEngine::referenceMode())
+    if (!ReferenceTape::eligible(config))
         return nullptr;
     const std::string key = ReferenceTape::key(config);
     std::lock_guard<std::mutex> lock(mutex);

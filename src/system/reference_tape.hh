@@ -80,8 +80,7 @@ class ReferenceTape
 
     /**
      * True when a run of `config` can bind to a tape: one user thread
-     * in segment mode. (A thread in ExecEngine reference mode must
-     * also stay unbound; ReferenceTapeStore checks that.)
+     * in segment mode.
      */
     static bool eligible(const SystemConfig &config);
 
@@ -204,10 +203,9 @@ class ReferenceTapeStore
 {
   public:
     /**
-     * The tape a run of `config` on this thread binds to, created on
-     * first request; null when the run is not eligible (more than one
-     * user thread, serving mode, or this thread in ExecEngine
-     * reference mode).
+     * The tape a run of `config` binds to, created on first request;
+     * null when the run is not eligible (more than one user thread or
+     * serving mode).
      */
     std::shared_ptr<ReferenceTape> acquire(const SystemConfig &config);
 

@@ -363,36 +363,6 @@ sweepWarmupKey(const SystemConfig &config)
 }
 
 // ---------------------------------------------------------------------
-// SweepAggregate
-
-void
-SweepAggregate::add(const SweepPointResult &result)
-{
-    if (!result.ok)
-        return;
-    ++points;
-    throughput.add(result.results.throughput);
-    if (result.normalized > 0.0)
-        normalized.add(result.normalized);
-    offload.merge(result.results.offloadRatio);
-    invocationLengths.merge(result.results.invocationLengths);
-    requestLatency.merge(result.results.requestLatency);
-    if (result.results.servingEnabled)
-        requestThroughput.add(result.results.requestThroughput);
-    for (const OsQueueResult &q : result.results.osQueues) {
-        queueDelay.merge(q.queueDelay);
-        queueWait.merge(q.wait);
-    }
-    steals += result.results.steals;
-    spills += result.results.spills;
-    if (result.results.spans != nullptr) {
-        spans += result.results.spans->spansRecorded;
-        for (std::size_t p = 0; p < kNumSpanPhases; ++p)
-            spanPhase[p].merge(result.results.spans->phase[p]);
-    }
-}
-
-// ---------------------------------------------------------------------
 // Replica merging
 
 SimResults
@@ -621,7 +591,7 @@ executePoint(const SweepPoint &point, std::size_t index, bool allow_fork,
             result.results =
                 ExperimentRunner::run(point.config, trace.get(),
                                       metrics.get(), spans.get(),
-                                      stores.tapes);
+                                      &stores.tapes);
             if (metrics &&
                 writeMetricsFile(*metrics, point.config,
                                  point.metricsPath)) {
@@ -637,11 +607,10 @@ executePoint(const SweepPoint &point, std::size_t index, bool allow_fork,
             // The uni-core baseline shares the point's stream, so it
             // replays the point's tape — but only a tape-eligible
             // point has one; a lone baseline would only pay for it.
-            const SimResults base =
-                ReferenceTape::eligible(point.config)
-                    ? ExperimentRunner::baselineResults(point.config,
-                                                        stores.tapes)
-                    : ExperimentRunner::baselineResults(point.config);
+            const SimResults base = ExperimentRunner::baselineResults(
+                point.config, ReferenceTape::eligible(point.config)
+                                  ? &stores.tapes
+                                  : nullptr);
             oscar_assert(base.throughput > 0.0);
             result.normalized =
                 result.results.throughput / base.throughput;
@@ -693,9 +662,8 @@ replicaSubPoint(const SweepPoint &point, std::size_t replica)
 /**
  * Fold a sharded point's per-replica outcomes (already in replica
  * order) into its single merged result. Wall clock sums; normalized
- * throughput averages over the normalized replicas (the same
- * statistic SweepAggregate reports for separately-run replicas); a
- * failed replica fails the point with the first failure's message.
+ * throughput averages over the normalized replicas; a failed replica
+ * fails the point with the first failure's message.
  */
 SweepPointResult
 mergeReplicaPoint(const SweepPoint &point, std::size_t index,

@@ -2,48 +2,36 @@
  * @file
  * Randomized differential tests holding the batched execution kernel
  * (ExecEngine::execute) to the scalar reference loop
- * (ExecEngine::executeReference).
+ * (executeReference, reference_exec.hh).
  *
  * The batched kernel's correctness argument is the draw-order
  * contract: reference *generation* never depends on access outcomes,
  * so bulk-generating a block of references ahead of the probes
- * reorders nothing observable. These tests attack that claim from two
- * sides: a low-level randomized sweep over profiles, core counts and
- * contexts that compares ExecResult, RNG stream position, per-line
- * cache/directory state and every statistic after each segment; and a
- * system-level pass that drives whole experiments (all three decision
- * policies, a K=2 NUMA topology, the serving front-end) down both
- * paths via ExecEngine::setReferenceMode and byte-compares the result
- * JSON and the emitted traces.
+ * reorders nothing observable. These tests attack that claim with
+ * two kinds of segment: random profiles over random regions, and the
+ * real user and OS-service profiles of the server and compute
+ * workloads on 1-, 2- and 6-core hierarchies. Both compare
+ * ExecResult, RNG stream position, per-line cache state and every
+ * statistic.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "cpu/exec_engine.hh"
-#include "sim/trace.hh"
-#include "system/sweep.hh"
-#include "system/trace_capture.hh"
+#include "reference_exec.hh"
+#include "system/reference_tape.hh"
+#include "system/system.hh"
 #include "workload/address_space.hh"
 
 namespace oscar
 {
 namespace
 {
-
-/** Route execute() through the scalar loop for the guard's lifetime. */
-class ScopedReferenceMode
-{
-  public:
-    ScopedReferenceMode() { ExecEngine::setReferenceMode(true); }
-    ~ScopedReferenceMode() { ExecEngine::setReferenceMode(false); }
-};
 
 /** One of the two identical worlds a differential trial runs. */
 struct World
@@ -101,11 +89,10 @@ buildWorld(World &world, const TrialSpec &spec)
     world.rng = Rng(spec.seed);
 }
 
-/** Every observable the two paths must agree on, per core. */
+/** Every counter the two paths must agree on, per core. */
 void
-expectSameMemoryState(const MemorySystem &a, const MemorySystem &b,
-                      unsigned cores, const TrialSpec &spec,
-                      const World &wa, const World &wb)
+expectSameCounters(const MemorySystem &a, const MemorySystem &b,
+                   unsigned cores)
 {
     ASSERT_EQ(a.directory().trackedLines(), b.directory().trackedLines());
     for (CoreId core = 0; core < cores; ++core) {
@@ -133,13 +120,24 @@ expectSameMemoryState(const MemorySystem &a, const MemorySystem &b,
         EXPECT_EQ(sa.invalidationsReceived, sb.invalidationsReceived);
         EXPECT_EQ(sa.upgrades, sb.upgrades);
         EXPECT_EQ(sa.memoryFetches, sb.memoryFetches);
-        // Line-by-line MESI comparison over every region: counters
-        // can collide, tag state cannot.
-        for (std::size_t r = 0; r < spec.regions.size(); ++r) {
-            const Addr base_a = wa.regions[r]->base() >> 6;
-            const Addr base_b = wb.regions[r]->base() >> 6;
-            const Addr lines =
-                (spec.regions[r].sizeBytes + 63) >> 6;
+    }
+}
+
+/**
+ * Line-by-line MESI comparison over every region of the two worlds'
+ * spaces: counters can collide, tag state cannot.
+ */
+void
+expectSameLines(const MemorySystem &a, const MemorySystem &b,
+                unsigned cores, const AddressSpace &space_a,
+                const AddressSpace &space_b)
+{
+    ASSERT_EQ(space_a.regionCount(), space_b.regionCount());
+    for (CoreId core = 0; core < cores; ++core) {
+        for (std::size_t r = 0; r < space_a.regionCount(); ++r) {
+            const Addr base_a = space_a.region(r).base() >> 6;
+            const Addr base_b = space_b.region(r).base() >> 6;
+            const Addr lines = (space_a.region(r).sizeBytes() + 63) >> 6;
             for (Addr i = 0; i < lines; ++i) {
                 ASSERT_EQ(a.l2(core).probe(base_a + i),
                           b.l2(core).probe(base_b + i))
@@ -211,7 +209,7 @@ TEST(ExecBatchDifferential, RandomProfilesMatchScalarReference)
             const ExecResult rb = ExecEngine::execute(
                 *batched.mem, core, ctx, instructions,
                 batched.profiles[prof], batched.rng);
-            const ExecResult rs = ExecEngine::executeReference(
+            const ExecResult rs = executeReference(
                 *scalar.mem, core, ctx, instructions,
                 scalar.profiles[prof], scalar.rng);
 
@@ -226,160 +224,96 @@ TEST(ExecBatchDifferential, RandomProfilesMatchScalarReference)
             ASSERT_EQ(probe_b.next64(), probe_s.next64())
                 << "RNG streams diverged at trial " << trial
                 << " segment " << seg;
-            expectSameMemoryState(*batched.mem, *scalar.mem,
-                                  spec.cores, spec, batched, scalar);
+            expectSameCounters(*batched.mem, *scalar.mem, spec.cores);
+            expectSameLines(*batched.mem, *scalar.mem, spec.cores,
+                            batched.space, scalar.space);
             if (::testing::Test::HasFailure())
                 return;
         }
     }
 }
 
-TEST(ExecBatchDifferential, ReferenceModeRoutesExecute)
+/** One of the two identical worlds a real-workload trial runs. */
+struct WorkloadWorld
 {
-    // Two worlds (regions carry generator state, so they cannot be
-    // shared): the scalar loop called directly must equal execute()
-    // under the thread-local reference-mode flag.
-    auto run = [](bool use_guard) {
-        AddressSpace space;
-        RegionParams params;
-        params.name = "code";
-        params.sizeBytes = 16 * 1024;
-        AddressRegion *code = space.allocate(params);
-        SegmentProfile profile(code, 1e9, 8.0);
-        profile.finalize();
-        MemorySystem mem(1, HierarchyGeometry{}, MemTimings{});
-        Rng rng(3);
-        ExecResult result;
-        if (use_guard) {
-            ScopedReferenceMode guard;
-            EXPECT_TRUE(ExecEngine::referenceMode());
-            result = ExecEngine::execute(mem, 0, ExecContext::User,
-                                         5'000, profile, rng);
-        } else {
-            result = ExecEngine::executeReference(
-                mem, 0, ExecContext::User, 5'000, profile, rng);
+    AddressSpace space;
+    OsPools pools;
+    /** One workload instance per core, as System builds them. */
+    std::vector<std::unique_ptr<Workload>> threads;
+    std::unique_ptr<MemorySystem> mem;
+    Rng rng{0};
+
+    WorkloadWorld(const SystemConfig &config, const ServiceTable &services)
+        : threads(buildWorkloads(config, services, space, pools)),
+          mem(std::make_unique<MemorySystem>(
+              config.userCores, config.geometry, config.timings)),
+          rng(config.seed)
+    {
+    }
+};
+
+TEST(ExecBatchDifferential, RealProfilesMatchScalarReference)
+{
+    // The calibrated segment shapes — every workload's user profile
+    // and each of its OS services, over the shared kernel pools — run
+    // on uni-core, dual-core and six-core hierarchies in both
+    // contexts, on random threads and cores, so coherence traffic
+    // between cores shares the OS pools the way an off-loading system
+    // does.
+    const ServiceTable services;
+    for (const WorkloadKind kind :
+         {WorkloadKind::Apache, WorkloadKind::SpecJbb,
+          WorkloadKind::Derby, WorkloadKind::Mcf}) {
+        for (const unsigned cores : {1u, 2u, 6u}) {
+            SCOPED_TRACE(workloadName(kind) + " on " +
+                         std::to_string(cores) + " cores");
+            SystemConfig config;
+            config.workload = kind;
+            config.userCores = cores;
+            config.seed = 1000 * static_cast<unsigned>(kind) + cores;
+            std::mt19937_64 meta(config.seed);
+            auto pick = [&meta](std::uint64_t lo, std::uint64_t hi) {
+                return lo + meta() % (hi - lo + 1);
+            };
+
+            WorkloadWorld batched(config, services);
+            WorkloadWorld scalar(config, services);
+            for (std::uint32_t id = 0; id <= kUserProfile; ++id) {
+                for (const ExecContext ctx :
+                     {ExecContext::User, ExecContext::Os}) {
+                    const std::size_t thread = pick(0, cores - 1);
+                    const CoreId core =
+                        static_cast<CoreId>(pick(0, cores - 1));
+                    const InstCount instructions = pick(1, 30'000);
+
+                    const ExecResult rb = ExecEngine::execute(
+                        *batched.mem, core, ctx, instructions,
+                        segmentProfile(*batched.threads[thread], id),
+                        batched.rng);
+                    const ExecResult rs = executeReference(
+                        *scalar.mem, core, ctx, instructions,
+                        segmentProfile(*scalar.threads[thread], id),
+                        scalar.rng);
+
+                    ASSERT_EQ(rb.cycles, rs.cycles) << "profile " << id;
+                    ASSERT_EQ(rb.dataAccesses, rs.dataAccesses);
+                    ASSERT_EQ(rb.fetches, rs.fetches);
+                    Rng probe_b = batched.rng;
+                    Rng probe_s = scalar.rng;
+                    ASSERT_EQ(probe_b.next64(), probe_s.next64());
+                    expectSameCounters(*batched.mem, *scalar.mem,
+                                       cores);
+                    if (::testing::Test::HasFailure())
+                        return;
+                }
+            }
+            // Tag state is cumulative, so one line-by-line pass per
+            // schedule sees every divergence that outlived eviction.
+            expectSameLines(*batched.mem, *scalar.mem, cores,
+                            batched.space, scalar.space);
+            if (::testing::Test::HasFailure())
+                return;
         }
-        return std::make_pair(result, rng.next64());
-    };
-
-    EXPECT_FALSE(ExecEngine::referenceMode());
-    const auto [direct, direct_draw] = run(/*use_guard=*/false);
-    const auto [routed, routed_draw] = run(/*use_guard=*/true);
-    EXPECT_FALSE(ExecEngine::referenceMode());
-    EXPECT_EQ(direct.cycles, routed.cycles);
-    EXPECT_EQ(direct.fetches, routed.fetches);
-    EXPECT_EQ(direct_draw, routed_draw);
-}
-
-// ---------------------------------------------------------------------
-// System level: whole experiments down both paths.
-
-std::string
-resultsJson(const SystemConfig &config, const SimResults &results)
-{
-    SweepPointResult wrap;
-    wrap.label = "differential";
-    wrap.config = config;
-    wrap.ok = true;
-    wrap.results = results;
-    return sweepPointResultsJson(wrap);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-}
-
-SimResults
-runTraced(const SystemConfig &config, bool reference,
-          const std::string &trace_path)
-{
-    JsonlTraceSink sink(trace_path, traceHeaderJson(config));
-    if (!reference)
-        return ExperimentRunner::run(config, &sink);
-    ScopedReferenceMode guard;
-    return ExperimentRunner::run(config, &sink);
-}
-
-void
-shrinkHorizon(SystemConfig &config)
-{
-    config.warmupInstructions = 20'000;
-    config.measureInstructions = 30'000;
-}
-
-std::shared_ptr<const ServingConfig>
-tinyServing()
-{
-    auto serving = std::make_shared<ServingConfig>();
-    serving->arrival = ArrivalModel::OpenLoop;
-    serving->dispatch = DispatchPolicy::NodeAffinity;
-    serving->meanInterarrivalCycles = 20'000.0;
-    serving->tenants = 16;
-    serving->tenantSkew = 0.99;
-    serving->warmupRequests = 20;
-    serving->measureRequests = 80;
-    return serving;
-}
-
-TEST(ExecBatchDifferential, WholeSystemsMatchAcrossPoliciesAndTopologies)
-{
-    // SI, DI, HI-dynamic, and a two-OS-core NUMA serving point: every
-    // layer that issues segment executions rides through both kernels.
-    std::vector<std::pair<std::string, SystemConfig>> configs;
-
-    SystemConfig si = ExperimentRunner::staticInstrConfig(
-        WorkloadKind::Apache, 1'000,
-        ExperimentRunner::profileServices(WorkloadKind::Apache));
-    shrinkHorizon(si);
-    configs.emplace_back("si", si);
-
-    SystemConfig di = ExperimentRunner::dynamicInstrConfig(
-        WorkloadKind::SpecJbb, 1'000, 100);
-    shrinkHorizon(di);
-    configs.emplace_back("di", di);
-
-    SystemConfig hi = ExperimentRunner::hardwareDynamicConfig(
-        WorkloadKind::Derby, 1'000);
-    shrinkHorizon(hi);
-    configs.emplace_back("hi", hi);
-
-    SystemConfig numa = ExperimentRunner::hardwareConfig(
-        WorkloadKind::Apache, /*static_n=*/0,
-        /*migration_one_way=*/100);
-    numa.userCores = 4;
-    numa.topology.osCores = 2;
-    numa.topology.numaNodes = 2;
-    numa.topology.placement = OsPlacement::Spread;
-    numa.topology.dispatch = OsDispatchPolicy::WorkStealing;
-    numa.topology.spillDepth = 1;
-    numa.serving = tinyServing();
-    shrinkHorizon(numa);
-    configs.emplace_back("numa-serving", numa);
-
-    for (const auto &[name, config] : configs) {
-        const std::string batched_path =
-            "test_exec_batch." + name + ".batched.jsonl";
-        const std::string scalar_path =
-            "test_exec_batch." + name + ".scalar.jsonl";
-        const SimResults batched =
-            runTraced(config, /*reference=*/false, batched_path);
-        const SimResults scalar =
-            runTraced(config, /*reference=*/true, scalar_path);
-
-        EXPECT_EQ(resultsJson(config, batched),
-                  resultsJson(config, scalar))
-            << "results diverged for " << name;
-        const std::string batched_bytes = readFile(batched_path);
-        EXPECT_FALSE(batched_bytes.empty());
-        EXPECT_EQ(batched_bytes, readFile(scalar_path))
-            << "trace bytes diverged for " << name;
-        std::remove(batched_path.c_str());
-        std::remove(scalar_path.c_str());
     }
 }
 

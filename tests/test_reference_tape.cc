@@ -382,22 +382,6 @@ TEST(ReferenceTape, MultiThreadAndServingConfigsNeverBind)
     EXPECT_EQ(stats.generatedRefs, 0u);
 }
 
-TEST(ReferenceTape, ReferenceModeKeepsSubRunsUnbound)
-{
-    const std::vector<SweepPoint> points = {
-        makePoint("hi", ExperimentRunner::hardwareConfig(
-                            WorkloadKind::Apache, 1000, 100))};
-    ExecEngine::setReferenceMode(true);
-    SweepRunStats stats;
-    const auto scalar = runSweep(points, 1, /*fork=*/true, &stats);
-    ExecEngine::setReferenceMode(false);
-    EXPECT_EQ(stats.tapes, 0u);
-    const auto taped = runSweep(points, 1, /*fork=*/true);
-    ASSERT_TRUE(scalar[0].ok) << scalar[0].error;
-    EXPECT_EQ(sweepPointResultsJson(scalar[0]),
-              sweepPointResultsJson(taped[0]));
-}
-
 TEST(ReferenceTape, OneJobKeepsOneTapeAndOneSnapshotAlive)
 {
     // Two workloads, two fork groups each (the 512 KB point warms

@@ -216,6 +216,8 @@ TEST(Serving, SweepJsonCarriesLatencyPercentiles)
 
 TEST(Serving, AggregateMergesSeedReplicas)
 {
+    // Seeds 5 and 6 run alone, then as the two replicas of one
+    // sharded point.
     std::vector<SweepPoint> points;
     for (std::uint64_t seed : {5ull, 6ull}) {
         SweepPoint point;
@@ -224,20 +226,28 @@ TEST(Serving, AggregateMergesSeedReplicas)
         point.normalize = false;
         points.push_back(point);
     }
+    SweepPoint sharded = points.front();
+    sharded.replicaSeeds = {5, 6};
+    points.push_back(sharded);
     const auto results = ParallelSweepRunner({1}).run(points);
-    SweepAggregate agg;
+    ASSERT_EQ(results.size(), 3u);
     for (const auto &result : results)
-        agg.add(result);
-    EXPECT_EQ(agg.points, 2u);
-    EXPECT_EQ(agg.requestLatency.count(), 240u);
+        ASSERT_TRUE(result.ok) << result.error;
+    const SimResults &merged = results[2].results;
+    EXPECT_EQ(results[2].replicaSeeds.size(), 2u);
+    EXPECT_EQ(merged.requestLatency.count(), 240u);
     // The pooled histogram is exactly the two per-point histograms
     // merged by hand.
     LatencyHistogram manual;
     manual.merge(results[0].results.requestLatency);
     manual.merge(results[1].results.requestLatency);
-    EXPECT_EQ(agg.requestLatency.toString(), manual.toString());
-    EXPECT_EQ(agg.requestThroughput.count(), 2u);
-    EXPECT_GT(agg.offload.total(), 0u);
+    EXPECT_EQ(merged.requestLatency.toString(), manual.toString());
+    EXPECT_EQ(merged.requestsCompleted, 240u);
+    EXPECT_GT(merged.requestThroughput, 0.0);
+    EXPECT_GT(merged.offloadRatio.total(), 0u);
+    EXPECT_EQ(merged.offloadRatio.total(),
+              results[0].results.offloadRatio.total() +
+                  results[1].results.offloadRatio.total());
 }
 
 TEST(Serving, TenantAffinityDispatchRuns)

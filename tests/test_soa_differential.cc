@@ -2,7 +2,7 @@
  * @file
  * Differential tests for the structure-of-arrays cache and directory
  * against the retained array-of-structs / hash-map reference
- * implementations (mem/reference_cache.hh, mem/reference_directory.hh).
+ * implementations (reference_cache.hh, reference_directory.hh).
  *
  * Both implementations are driven with identical randomized traffic
  * and every observable — returned states, LRU-driven victim choices,
@@ -19,8 +19,8 @@
 
 #include "mem/cache.hh"
 #include "mem/directory.hh"
-#include "mem/reference_cache.hh"
-#include "mem/reference_directory.hh"
+#include "reference_cache.hh"
+#include "reference_directory.hh"
 #include "sim/random.hh"
 
 namespace oscar

@@ -247,11 +247,12 @@ TEST(SweepReport, EmitsValidSchemaAndWritesFile)
     std::remove(path.c_str());
 }
 
-TEST(SweepAggregate, PoolsEveryQueueOfAMultiOsCorePoint)
+TEST(SweepReplicas, PoolsEveryQueueOfAMultiOsCorePoint)
 {
-    // Regression: the aggregate used to read only the point-level
+    // Regression: pooling used to read only the point-level
     // meanQueueDelay scalar, collapsing a K-queue point to one value.
-    // A K=2 work-stealing point must contribute every queue's samples.
+    // A K=2 work-stealing point must contribute every queue's samples,
+    // and a two-replica shard of it must pool both queues of both.
     SweepPoint point;
     point.label = "k2";
     point.config = ExperimentRunner::hardwareConfig(
@@ -268,33 +269,51 @@ TEST(SweepAggregate, PoolsEveryQueueOfAMultiOsCorePoint)
     point.config.warmupInstructions = 20'000;
     point.config.measureInstructions = 15'000;
     point.normalize = false;
+    SweepPoint twice = point;
+    twice.label = "k2x2";
+    twice.replicaSeeds = {42, 42};
 
-    const auto results = ParallelSweepRunner({1}).run({point});
-    ASSERT_EQ(results.size(), 1u);
+    const auto results = ParallelSweepRunner({1}).run({point, twice});
+    ASSERT_EQ(results.size(), 2u);
     ASSERT_TRUE(results[0].ok) << results[0].error;
+    ASSERT_TRUE(results[1].ok) << results[1].error;
     const SimResults &r = results[0].results;
     ASSERT_EQ(r.osQueues.size(), 2u);
     ASSERT_GT(r.osQueues[1].admitted, 0u)
         << "scenario must exercise the second queue";
 
-    SweepAggregate agg;
-    agg.add(results[0]);
+    const auto pooledQueues = [](const SimResults &sim) {
+        std::pair<RunningStat, LatencyHistogram> pooled;
+        for (const OsQueueResult &q : sim.osQueues) {
+            pooled.first.merge(q.queueDelay);
+            pooled.second.merge(q.wait);
+        }
+        return pooled;
+    };
     std::uint64_t admitted = 0;
     for (const OsQueueResult &q : r.osQueues)
         admitted += q.admitted;
     // Both pooled views carry every admission from both queues.
-    EXPECT_EQ(agg.queueDelay.count(), admitted);
-    EXPECT_EQ(agg.queueWait.count(), admitted);
+    const auto [delay, wait] = pooledQueues(r);
+    EXPECT_EQ(delay.count(), admitted);
+    EXPECT_EQ(wait.count(), admitted);
     EXPECT_GT(admitted, r.osQueues[0].admitted)
         << "pooling must see more than queue 0 alone";
-    EXPECT_EQ(agg.steals, r.steals);
-    EXPECT_EQ(agg.spills, r.spills);
+    EXPECT_DOUBLE_EQ(delay.mean(), r.meanQueueDelay);
 
-    // Folding the same point twice doubles the population (replica
-    // pooling) and leaves the mean unchanged.
-    agg.add(results[0]);
-    EXPECT_EQ(agg.queueWait.count(), 2 * admitted);
-    EXPECT_DOUBLE_EQ(agg.queueDelay.mean(), r.meanQueueDelay);
+    // Merging two replicas of the same seed doubles the population of
+    // every queue and every balance counter, and leaves the mean
+    // unchanged.
+    const SimResults &merged = results[1].results;
+    ASSERT_EQ(merged.osQueues.size(), 2u);
+    for (std::size_t k = 0; k < merged.osQueues.size(); ++k)
+        EXPECT_EQ(merged.osQueues[k].admitted, 2 * r.osQueues[k].admitted);
+    const auto [merged_delay, merged_wait] = pooledQueues(merged);
+    EXPECT_EQ(merged_delay.count(), 2 * admitted);
+    EXPECT_EQ(merged_wait.count(), 2 * admitted);
+    EXPECT_DOUBLE_EQ(merged.meanQueueDelay, r.meanQueueDelay);
+    EXPECT_EQ(merged.steals, 2 * r.steals);
+    EXPECT_EQ(merged.spills, 2 * r.spills);
 
     // The report's results JSON carries the per-queue numa block for
     // this point, and omits it for a default-topology point.
@@ -386,9 +405,10 @@ TEST(SweepReplicas, MergedResultMatchesIndividuallyRunSeeds)
     // Cross-check the sharded fold against first principles: run each
     // seed as its own classic point and fold the SimResults by hand
     // through mergeReplicaResults — the sharded point must serialize
-    // to the very same bytes. Alongside, SweepAggregate pooling over
-    // the individual runs must agree with the merged distributions
-    // sample for sample (same population, not averaged percentiles).
+    // to the very same bytes. Alongside, the individual runs' latency
+    // histograms merged by hand must agree with the merged
+    // distribution sample for sample (same population, not averaged
+    // percentiles).
     const std::vector<std::uint64_t> seeds = {42, 1337};
     const SweepPoint sharded = shardedServingPoint(seeds);
 
@@ -403,7 +423,7 @@ TEST(SweepReplicas, MergedResultMatchesIndividuallyRunSeeds)
     ASSERT_TRUE(results[0].ok) << results[0].error;
 
     std::vector<SimResults> individual;
-    SweepAggregate pooled;
+    LatencyHistogram pooled;
     for (const std::uint64_t seed : seeds) {
         SweepPoint solo = sharded;
         solo.replicaSeeds.clear();
@@ -413,7 +433,7 @@ TEST(SweepReplicas, MergedResultMatchesIndividuallyRunSeeds)
             ParallelSweepRunner::runPoint(solo, 0);
         ASSERT_TRUE(run.ok) << run.error;
         individual.push_back(run.results);
-        pooled.add(run);
+        pooled.merge(run.results.requestLatency);
     }
 
     SweepPointResult manual = results[0];
@@ -428,12 +448,10 @@ TEST(SweepReplicas, MergedResultMatchesIndividuallyRunSeeds)
                   individual[1].requestsCompleted);
     EXPECT_EQ(merged.steals, individual[0].steals + individual[1].steals);
     // ...and the latency population is the union of the replicas',
-    // matching the distribution-preserving aggregate exactly.
-    EXPECT_EQ(merged.requestLatency.count(),
-              pooled.requestLatency.count());
+    // matching the hand-merged histogram exactly.
+    EXPECT_EQ(merged.requestLatency.count(), pooled.count());
     for (const double q : {0.5, 0.95, 0.99}) {
-        EXPECT_EQ(merged.requestLatency.quantile(q),
-                  pooled.requestLatency.quantile(q));
+        EXPECT_EQ(merged.requestLatency.quantile(q), pooled.quantile(q));
     }
     // Per-queue pooling: every admission of every replica's every
     // queue lands in the merged per-queue results exactly once.
