@@ -59,6 +59,10 @@
  *                  [--compare BASELINE] [--summary PATH]
  *                  [--fail-over FACTOR] [--only NAMES] [--quick]
  *
+ * The oscar.perfbench.v1 report is written only to an explicit
+ * `--json PATH` (re-blessing the reference is `--json BENCH_perf.json`),
+ * so a smoke run never overwrites a tracked file.
+ *
  * `--only a,b` runs just the named scenarios (for iterating on one
  * hot path without paying for the full suite); an unknown name is a
  * usage error, as are a `--reps`/`--warmup` that is not a whole
@@ -112,7 +116,8 @@ struct PerfOptions
 {
     int reps = 5;
     int warmup = 1;
-    std::string jsonPath = "BENCH_perf.json";
+    /** Report destination; empty (the default) writes no report. */
+    std::string jsonPath;
     std::string comparePath;
     std::string traceOutPath = "perf_wallclock.trace.jsonl";
     std::string metricsOutPath = "perf_wallclock.metrics.jsonl";

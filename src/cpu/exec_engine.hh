@@ -131,7 +131,7 @@ struct ExecResult
  * *generation* never depends on access outcomes: every RNG draw in the
  * loop is conditioned only on the profile and the regions' own
  * generator state, so the result — ExecResult, RNG stream position,
- * memory/directory state and statistics — equals probing each
+ * cache state and statistics — equals probing each
  * reference with MemorySystem::access as it is drawn. The randomized
  * differential test in tests/test_exec_batch.cc holds execute() to
  * that one-reference-at-a-time loop (tests/reference_exec.hh). The

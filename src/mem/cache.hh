@@ -239,6 +239,17 @@ class SetAssocCache
     /** Number of currently valid lines. */
     std::uint64_t residentLines() const;
 
+    /** Call @p fn with the line address of every valid way. */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (const Addr tag : tags) {
+            if (tag != kNoTag)
+                fn(tag);
+        }
+    }
+
     /** Geometry this cache was built with. */
     const CacheGeometry &geometry() const { return geom; }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * MESI coherence state and transition helpers shared by the cache tag
- * stores and the directory controller.
+ * stores and the memory system's coherence transactions.
  */
 
 #ifndef OSCAR_MEM_COHERENCE_HH_

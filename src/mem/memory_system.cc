@@ -25,11 +25,12 @@ CoreMemStats::l2HitRate() const
 MemorySystem::MemorySystem(unsigned num_cores,
                            const HierarchyGeometry &geometry,
                            const MemTimings &timings)
-    : coreStats(num_cores), dir(num_cores),
-      fabric(timings.interconnectHop), lat(timings)
+    : coreStats(num_cores), fabric(timings.interconnectHop), lat(timings)
 {
-    if (num_cores == 0)
-        oscar_fatal("memory system needs at least one core");
+    // Sharer sets are 64-bit masks.
+    if (num_cores == 0 || num_cores > 64)
+        oscar_fatal("memory system supports 1..64 cores, got %u",
+                    num_cores);
     if (geometry.l1i.lineBytes != geometry.l2.lineBytes ||
         geometry.l1d.lineBytes != geometry.l2.lineBytes) {
         oscar_fatal("L1 and L2 line sizes must match");
@@ -83,7 +84,6 @@ MemorySystem::invalidateAll()
         cc.l1d.invalidateAll();
         cc.l2.invalidateAll();
     }
-    dir.clear();
     ++flushCount;
 }
 
@@ -125,8 +125,25 @@ MemorySystem::registerMetrics(MetricRegistry &registry)
     }
     registry.counterFn("mem.flushes", [this] { return flushCount; });
     registry.gauge("mem.directory.lines", [this] {
-        return static_cast<double>(dir.trackedLines());
+        return static_cast<double>(cachedLines());
     });
+}
+
+std::uint64_t
+MemorySystem::cachedLines() const
+{
+    // Count each resident line at the lowest-numbered core holding it.
+    std::uint64_t count = 0;
+    for (unsigned c = 0; c < cores.size(); ++c) {
+        cores[c].l2.forEachLine([&](Addr line_addr) {
+            for (unsigned lower = 0; lower < c; ++lower) {
+                if (cores[lower].l2.probe(line_addr) != MesiState::Invalid)
+                    return;
+            }
+            ++count;
+        });
+    }
+    return count;
 }
 
 void
@@ -183,7 +200,6 @@ MemorySystem::fillL2(CoreId core, Addr line_addr, MesiState state)
         // Inclusion: the L1s may not keep a line the L2 dropped.
         cores[core].l1d.invalidate(evicted->lineAddr);
         cores[core].l1i.invalidate(evicted->lineAddr);
-        dir.removeSharer(evicted->lineAddr, core);
         // A Modified victim is written back; the writeback is off the
         // critical path and charged no latency, matching the paper's
         // uniform-latency memory model.
@@ -206,22 +222,15 @@ Cycle
 MemorySystem::upgradeLine(CoreId core, Addr line_addr)
 {
     // S->M upgrade: request to directory, invalidations to sharers,
-    // acks back to the requester. One directory probe serves the
-    // whole transaction: the slot is read for the sharer set and then
-    // rewritten in place (nothing below touches the directory, so the
-    // slot stays valid).
+    // acks back to the requester. The requester holds the line Shared,
+    // so every other holder is a sharer to invalidate.
     fabric.countMessage();
     Cycle latency = fabric.requestResponse() + lat.directoryLookup;
-    const Directory::Slot slot = dir.findOrInsert(line_addr);
-    const DirEntry entry = dir.entryAt(slot);
-    // The requester holds the line (Shared) in its L2, so the entry
-    // was already present and non-empty.
-    oscar_assert(entry.hasSharer(core));
+    const DirEntry entry = sharers(line_addr, core);
     const unsigned invalidated =
         invalidateSharers(entry, line_addr, core);
     if (invalidated > 0)
         latency += lat.invalidateAck;
-    dir.setExclusiveAt(slot, core);
     cores[core].l2.setState(line_addr, MesiState::Modified);
     cores[core].l1d.setStateIfPresent(line_addr, MesiState::Modified);
     ++coreStats[core].upgrades;
@@ -238,18 +247,13 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
     fabric.countMessage();
     result.latency = fabric.requestResponse() + lat.directoryLookup;
 
-    // One directory probe serves the whole transaction: the slot is
-    // read once and rewritten in place by the arm taken. Every arm
-    // leaves the requester caching the line, so the empty entry
-    // findOrInsert creates for an untracked line never outlives this
-    // call. Slot operations all precede fillL2 — its eviction path
-    // removes the victim's directory entry, which can move slots.
-    const Directory::Slot slot = dir.findOrInsert(line_addr);
-    const DirEntry entry = dir.entryAt(slot);
-    const bool remote_exclusive =
-        entry.exclusive && !entry.hasSharer(core);
+    // The sharer set is read once, before any state changes; the
+    // requester just missed in its L2, so it is not among them. The
+    // arm taken writes the new states into the tag stores, which is
+    // all the directory update there is.
+    const DirEntry entry = sharers(line_addr, core);
 
-    if (remote_exclusive) {
+    if (entry.exclusive) {
         // Another core owns the line in E or M: cache-to-cache supply.
         const CoreId owner = entry.owner();
         fabric.countMessage();
@@ -263,7 +267,6 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
             ++coreStats[owner].invalidationsReceived;
             ++coreStats[core].invalidationsSent;
             result.invalidatedRemote = true;
-            dir.setExclusiveAt(slot, core);
             result.filled = MesiState::Modified;
         } else {
             // Owner downgrades to Shared (writeback folded into the
@@ -271,10 +274,9 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
             cores[owner].l2.setState(line_addr, MesiState::Shared);
             cores[owner].l1d.setStateIfPresent(line_addr,
                                                MesiState::Shared);
-            dir.addSharerAt(slot, core);
             result.filled = MesiState::Shared;
         }
-    } else if (!entry.uncached() && !entry.hasSharer(core)) {
+    } else if (!entry.uncached()) {
         // Shared at one or more other cores.
         if (is_write) {
             const unsigned invalidated =
@@ -284,13 +286,11 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
             result.invalidatedRemote = invalidated > 0;
             coreStats[core].invalidationsSent += invalidated;
             ++coreStats[core].memoryFetches;
-            dir.setExclusiveAt(slot, core);
             result.filled = MesiState::Modified;
         } else {
             result.latency += lat.memory;
             result.source = AccessSource::Memory;
             ++coreStats[core].memoryFetches;
-            dir.addSharerAt(slot, core);
             result.filled = MesiState::Shared;
         }
     } else {
@@ -298,7 +298,6 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
         result.latency += lat.memory;
         result.source = AccessSource::Memory;
         ++coreStats[core].memoryFetches;
-        dir.setExclusiveAt(slot, core);
         result.filled =
             is_write ? MesiState::Modified : MesiState::Exclusive;
     }

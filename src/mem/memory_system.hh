@@ -1,8 +1,13 @@
 /**
  * @file
- * The full memory hierarchy: per-core private L1I/L1D/L2 tag stores, a
- * MESI directory, a point-to-point interconnect, and uniform-latency
- * main memory (Table II of the paper).
+ * The full memory hierarchy: per-core private L1I/L1D/L2 tag stores
+ * kept coherent by directory MESI, a point-to-point interconnect, and
+ * uniform-latency main memory (Table II of the paper).
+ *
+ * The directory is modelled, not stored: every coherence transaction
+ * pays the directory lookup latency, but its sharer set is read from
+ * the other cores' L2 tag stores (see sharers()). Directory state is
+ * a function of L2 residency and L2 state, so the snoop is exact.
  *
  * Accesses resolve atomically: state is updated and the full latency of
  * the access is returned to the caller, which stalls the in-order core
@@ -20,7 +25,6 @@
 #include <vector>
 
 #include "mem/cache.hh"
-#include "mem/directory.hh"
 #include "mem/interconnect.hh"
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
@@ -96,6 +100,37 @@ struct PackedRef
     }
 };
 
+/** Directory view of one line, as read from the L2 tag stores. */
+struct DirEntry
+{
+    /** Bit i set iff core i's L2 holds the line. */
+    std::uint64_t sharerMask = 0;
+    /** True when the (sole) holder has the line in E or M. */
+    bool exclusive = false;
+
+    /** True when no core caches the line. */
+    bool uncached() const { return sharerMask == 0; }
+
+    /** Number of caching cores. */
+    unsigned sharerCount() const
+    {
+        return static_cast<unsigned>(__builtin_popcountll(sharerMask));
+    }
+
+    /** Core id of the exclusive owner; only valid when exclusive. */
+    CoreId owner() const
+    {
+        return static_cast<CoreId>(__builtin_ctzll(sharerMask));
+    }
+
+    /** True iff the given core caches the line. */
+    bool
+    hasSharer(CoreId core) const
+    {
+        return (sharerMask >> core) & 1ULL;
+    }
+};
+
 /** Latency parameters of the hierarchy (Table II + coherence costs). */
 struct MemTimings
 {
@@ -148,9 +183,9 @@ class MemorySystem
                  const MemTimings &timings);
 
     /**
-     * Snapshot copy: duplicates every tag store, the directory and all
-     * statistics. Registered metrics poll the original, so the copy
-     * starts unregistered.
+     * Snapshot copy: duplicates every tag store and all statistics.
+     * Registered metrics poll the original, so the copy starts
+     * unregistered.
      */
     MemorySystem(const MemorySystem &other) = default;
     MemorySystem &operator=(const MemorySystem &) = delete;
@@ -207,8 +242,34 @@ class MemorySystem
     /** Tag-store access to a core's L1I (tests/inspection). */
     const SetAssocCache &l1i(CoreId core) const;
 
-    /** The directory (tests/inspection). */
-    const Directory &directory() const { return dir; }
+    /**
+     * Directory view of a line: bit c is set when core c's L2 holds
+     * it, and `exclusive` when that holder's L2 state is E or M. Core
+     * @p except is left out (kNoCore leaves out none). The private L2s
+     * are the directory: MESI allows an E/M holder no co-sharers, so
+     * the probe stops at the first one.
+     */
+    DirEntry
+    sharers(Addr line_addr, CoreId except = kNoCore) const
+    {
+        DirEntry entry;
+        for (unsigned c = 0; c < cores.size(); ++c) {
+            if (c == except)
+                continue;
+            const MesiState state = cores[c].l2.probe(line_addr);
+            if (state == MesiState::Invalid)
+                continue;
+            entry.sharerMask |= 1ULL << c;
+            if (canWrite(state)) {
+                entry.exclusive = true;
+                break;
+            }
+        }
+        return entry;
+    }
+
+    /** Number of distinct lines resident in at least one L2. */
+    std::uint64_t cachedLines() const;
 
     /** Drop all cached state (between experiment phases). */
     void invalidateAll();
@@ -219,8 +280,8 @@ class MemorySystem
      * Every counter polls a count the hierarchy keeps anyway: per-core
      * hit/access pairs and coherence events read CoreMemStats (names
      * like `mem.core0.l2.user.hits`), evictions read the tag stores,
-     * and `mem.flushes` counts full-hierarchy invalidations; a
-     * `mem.directory.lines` gauge tracks the directory. resetStats()
+     * and `mem.flushes` counts full-hierarchy invalidations; the
+     * `mem.directory.lines` gauge polls cachedLines(). resetStats()
      * zeroes CoreMemStats, so it must run inside the registry's
      * carryAcrossReset() once registered. The registry must outlive
      * this object.
@@ -251,7 +312,7 @@ class MemorySystem
         SetAssocCache l2;
     };
 
-    /** Handle an L2 miss: directory transaction + fill. */
+    /** Handle an L2 miss: coherence transaction + fill. */
     AccessResult handleL2Miss(CoreId core, Addr line_addr, bool is_write,
                               ExecContext ctx);
 
@@ -271,10 +332,6 @@ class MemorySystem
     /**
      * Invalidate every cached copy of a line outside @p except,
      * charging per-sharer fabric messages and invalidation stats.
-     * Directory bookkeeping is the caller's: it holds the line's slot
-     * and rewrites the sharer set in one shot afterwards (removing
-     * sharers one at a time would erase and reinsert the entry, and
-     * backward-shift deletion would invalidate the held slot).
      */
     unsigned invalidateSharers(const DirEntry &entry, Addr line_addr,
                                CoreId except);
@@ -299,7 +356,6 @@ class MemorySystem
 
     std::vector<CoreCaches> cores;
     std::vector<CoreMemStats> coreStats;
-    Directory dir;
     Interconnect fabric;
     MemTimings lat;
     unsigned lineShift;

@@ -213,7 +213,7 @@ SpanRecorder::reset()
         slot.span = RequestSpan{};
     }
     std::size_t capacity = aggregates.exemplarCapacity;
-    aggregates = SpanResults{};
+    aggregates = SpanResults();
     aggregates.exemplarCapacity = capacity;
 }
 

@@ -81,6 +81,14 @@ class ReferenceTape
     /**
      * True when a run of `config` can bind to a tape: one user thread
      * in segment mode.
+     *
+     * Per-thread tapes for multi-thread runs cannot work:
+     * buildWorkloads() gives every thread's Workload the same OsPools
+     * regions (kernel data, shared-io, service code), and the user
+     * profile draws from shared-io too. Those regions' reuse rings and
+     * stream cursors advance in event order, so a thread's references
+     * depend on timing, while replay() checks only the RNG digest,
+     * profile and length — such a replay would go wrong silently.
      */
     static bool eligible(const SystemConfig &config);
 

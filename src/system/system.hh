@@ -261,7 +261,7 @@ class System
     SimResults resumeRun();
 
     /**
-     * Deep-copy the full simulation state: caches and directory, the
+     * Deep-copy the full simulation state: the cache tag stores, the
      * event queue (payload events only — asserted), per-thread RNG
      * streams, workload generator state, predictors, policy state,
      * queue occupancy, and all phase/statistics machinery. A

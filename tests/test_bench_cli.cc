@@ -3,16 +3,19 @@
  * Flag-parsing tests for the bench binaries: malformed counts and
  * factors are usage errors, never silently read as 0, 1, NaN or a
  * wrapped huge number. perf_wallclock's exit statuses are checked by
- * running it (every case fails or exits before any scenario runs);
+ * running it (every case but the report-path one fails or exits
+ * before any scenario runs);
  * BenchOptions, shared by the sweep benches, is parsed in-process
  * with oscar_fatal turned into a FatalError.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
 #include <sys/wait.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -77,6 +80,27 @@ TEST(PerfWallclockCli, RepsAndWarmupMustBeWholeCounts)
         EXPECT_EQ(runPerf(std::string(flag) + " 4 --help"), 0) << flag;
     }
     EXPECT_EQ(runPerf("--reps"), 2);
+}
+
+TEST(PerfWallclockCli, NoReportWithoutJsonFlag)
+{
+    // A smoke run from the repository root must not replace the
+    // committed BENCH_perf.json: without --json, nothing is written.
+    char dir_template[] = "/tmp/oscar_perf_cwdXXXXXX";
+    const char *dir = ::mkdtemp(dir_template);
+    ASSERT_NE(dir, nullptr);
+    const std::string command = std::string("cd ") + dir + " && " +
+                                OSCAR_PERF_WALLCLOCK +
+                                " --quick --only predictor_dm_hot"
+                                " >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    std::vector<std::string> left;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        left.push_back(entry.path().filename().string());
+    std::filesystem::remove_all(dir);
+    EXPECT_TRUE(left.empty()) << "perf_wallclock wrote " << left.front();
 }
 
 BenchOptions

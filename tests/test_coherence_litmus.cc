@@ -56,7 +56,7 @@ TEST_F(MesiLitmus, ReadReadRead_AllShared)
     EXPECT_EQ(l2State(1), MesiState::Shared);
     read(2);
     EXPECT_EQ(l2State(2), MesiState::Shared);
-    const DirEntry entry = mem.directory().lookup(kLine >> 6);
+    const DirEntry entry = mem.sharers(kLine >> 6);
     EXPECT_EQ(entry.sharerCount(), 3u);
     EXPECT_FALSE(entry.exclusive);
 }
@@ -90,7 +90,7 @@ TEST_F(MesiLitmus, WriteWriteWrite_OwnershipMigrates)
     EXPECT_EQ(l2State(0), MesiState::Invalid);
     EXPECT_EQ(l2State(1), MesiState::Invalid);
     EXPECT_EQ(l2State(2), MesiState::Modified);
-    const DirEntry entry = mem.directory().lookup(kLine >> 6);
+    const DirEntry entry = mem.sharers(kLine >> 6);
     EXPECT_TRUE(entry.exclusive);
     EXPECT_EQ(entry.owner(), 2u);
 }

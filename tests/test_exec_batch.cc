@@ -94,7 +94,7 @@ void
 expectSameCounters(const MemorySystem &a, const MemorySystem &b,
                    unsigned cores)
 {
-    ASSERT_EQ(a.directory().trackedLines(), b.directory().trackedLines());
+    ASSERT_EQ(a.cachedLines(), b.cachedLines());
     for (CoreId core = 0; core < cores; ++core) {
         for (auto pick : {&MemorySystem::l1i, &MemorySystem::l1d,
                           &MemorySystem::l2}) {

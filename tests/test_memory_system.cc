@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "mem/memory_system.hh"
 #include "sim/random.hh"
 
@@ -55,7 +57,7 @@ TEST(MemorySystem, ColdReadInstallsExclusive)
     MemorySystem mem(1, HierarchyGeometry{}, timings());
     mem.access(0, 0x1000, AccessType::Read, ExecContext::User);
     EXPECT_EQ(mem.l2(0).probe(0x1000 >> 6), MesiState::Exclusive);
-    EXPECT_TRUE(mem.directory().lookup(0x1000 >> 6).exclusive);
+    EXPECT_TRUE(mem.sharers(0x1000 >> 6).exclusive);
 }
 
 TEST(MemorySystem, ColdWriteInstallsModified)
@@ -86,7 +88,7 @@ TEST(MemorySystem, RemoteModifiedSuppliedCacheToCache)
     // Both copies now Shared.
     EXPECT_EQ(mem.l2(0).probe(0x1000 >> 6), MesiState::Shared);
     EXPECT_EQ(mem.l2(1).probe(0x1000 >> 6), MesiState::Shared);
-    EXPECT_FALSE(mem.directory().lookup(0x1000 >> 6).exclusive);
+    EXPECT_FALSE(mem.sharers(0x1000 >> 6).exclusive);
     EXPECT_EQ(mem.stats(1).c2cTransfers, 1u);
 }
 
@@ -147,8 +149,8 @@ TEST(MemorySystem, L2EvictionInvalidatesL1Inclusion)
     // Line 0 was evicted from L2; inclusion requires it left L1 too.
     EXPECT_EQ(mem.l2(0).probe(0), MesiState::Invalid);
     EXPECT_EQ(mem.l1d(0).probe(0), MesiState::Invalid);
-    // And the directory no longer tracks core 0 for line 0.
-    EXPECT_FALSE(mem.directory().lookup(0).hasSharer(0));
+    // And the sharer set no longer names core 0 for line 0.
+    EXPECT_FALSE(mem.sharers(0).hasSharer(0));
 }
 
 TEST(MemorySystem, InstrFetchesUseL1I)
@@ -198,61 +200,236 @@ TEST(MemorySystem, InvalidateAllEmptiesEverything)
     mem.access(0, 0x1000, AccessType::Write, ExecContext::User);
     mem.invalidateAll();
     EXPECT_EQ(mem.l2(0).residentLines(), 0u);
-    EXPECT_EQ(mem.directory().trackedLines(), 0u);
+    EXPECT_EQ(mem.cachedLines(), 0u);
 }
 
-// Invariant sweep: after random traffic from several cores, the
-// directory must exactly reflect L2 contents and MESI single-writer /
-// multi-reader must hold for every line.
-TEST(MemorySystemProperty, DirectoryMatchesCachesUnderRandomTraffic)
+/** Small hierarchy that evicts often, for randomized traffic. */
+HierarchyGeometry
+tinyGeometry()
 {
-    constexpr unsigned kCores = 4;
     HierarchyGeometry g;
     g.l1i = CacheGeometry{512, 2, 64, 1};
     g.l1d = CacheGeometry{512, 2, 64, 1};
     g.l2 = CacheGeometry{2048, 2, 64, 12};
-    MemorySystem mem(kCores, g, timings());
-    Rng rng(99);
+    return g;
+}
 
-    for (int i = 0; i < 50000; ++i) {
-        const CoreId core = static_cast<CoreId>(rng.nextBounded(kCores));
+/** Random fetch/read/write traffic over a 256-line pool. */
+void
+randomTraffic(MemorySystem &mem, std::uint64_t seed, int accesses)
+{
+    Rng rng(seed);
+    for (int i = 0; i < accesses; ++i) {
+        const CoreId core =
+            static_cast<CoreId>(rng.nextBounded(mem.numCores()));
         const Addr addr = rng.nextBounded(256) * 64;
-        const AccessType type = rng.nextBool(0.35) ? AccessType::Write
-                                                   : AccessType::Read;
-        mem.access(core, addr, type, ExecContext::User);
+        const double roll = rng.nextDouble();
+        const AccessType type = roll < 0.35   ? AccessType::Write
+                                : roll < 0.45 ? AccessType::InstrFetch
+                                              : AccessType::Read;
+        mem.access(core, addr, type,
+                   rng.nextBool(0.5) ? ExecContext::User
+                                     : ExecContext::Os);
     }
+}
 
-    for (Addr line = 0; line < 256; ++line) {
-        const DirEntry entry = mem.directory().lookup(line);
-        unsigned holders = 0;
-        unsigned writers = 0;
-        for (CoreId c = 0; c < kCores; ++c) {
-            const MesiState state = mem.l2(c).probe(line);
-            if (state != MesiState::Invalid) {
-                ++holders;
-                ASSERT_TRUE(entry.hasSharer(c))
-                    << "line " << line << " in L2 of core " << c
-                    << " but not in directory";
-            } else {
-                ASSERT_FALSE(entry.hasSharer(c))
-                    << "directory thinks core " << c << " holds line "
-                    << line;
+// The directory view: sharers() and cachedLines() read what a MESI
+// directory would hold straight from the L2 tag stores.
+
+/** Read or write one line (line address, not byte address). */
+AccessResult
+touch(MemorySystem &mem, CoreId core, Addr line, bool write = false)
+{
+    return mem.access(core, line * 64,
+                      write ? AccessType::Write : AccessType::Read,
+                      ExecContext::User);
+}
+
+TEST(Directory, UnknownLineIsUncached)
+{
+    MemorySystem mem(4, tinyGeometry(), timings());
+    const DirEntry entry = mem.sharers(100);
+    EXPECT_TRUE(entry.uncached());
+    EXPECT_EQ(entry.sharerCount(), 0u);
+    EXPECT_FALSE(entry.exclusive);
+}
+
+TEST(Directory, AddSharerTracksCores)
+{
+    MemorySystem mem(4, tinyGeometry(), timings());
+    touch(mem, 0, 7);
+    touch(mem, 2, 7);
+    const DirEntry entry = mem.sharers(7);
+    EXPECT_EQ(entry.sharerCount(), 2u);
+    EXPECT_TRUE(entry.hasSharer(0));
+    EXPECT_FALSE(entry.hasSharer(1));
+    EXPECT_TRUE(entry.hasSharer(2));
+    EXPECT_FALSE(entry.exclusive);
+    // `except` leaves one core out of the set.
+    EXPECT_EQ(mem.sharers(7, 2).sharerMask, 1u);
+}
+
+TEST(Directory, SetExclusiveReplacesSharers)
+{
+    MemorySystem mem(4, tinyGeometry(), timings());
+    touch(mem, 0, 7);
+    touch(mem, 1, 7);
+    touch(mem, 3, 7, true);
+    const DirEntry entry = mem.sharers(7);
+    EXPECT_TRUE(entry.exclusive);
+    EXPECT_EQ(entry.sharerCount(), 1u);
+    EXPECT_EQ(entry.owner(), 3u);
+}
+
+TEST(Directory, DemoteToSharedKeepsSharers)
+{
+    MemorySystem mem(4, tinyGeometry(), timings());
+    touch(mem, 1, 9, true);
+    touch(mem, 2, 9);
+    const DirEntry entry = mem.sharers(9);
+    EXPECT_FALSE(entry.exclusive);
+    EXPECT_TRUE(entry.hasSharer(1));
+    EXPECT_TRUE(entry.hasSharer(2));
+}
+
+TEST(Directory, RemoveLastSharerErasesEntry)
+{
+    // tinyGeometry's L2 has 16 two-way sets: lines 5, 21 and 37 share
+    // a set, so the third fill evicts line 5.
+    MemorySystem mem(2, tinyGeometry(), timings());
+    touch(mem, 0, 5);
+    EXPECT_EQ(mem.cachedLines(), 1u);
+    touch(mem, 0, 21);
+    touch(mem, 0, 37);
+    EXPECT_TRUE(mem.sharers(5).uncached());
+    EXPECT_EQ(mem.cachedLines(), 2u);
+}
+
+TEST(Directory, RemoveSharerOfUnknownLineIsNoop)
+{
+    // A write to a line no other core holds invalidates nobody.
+    MemorySystem mem(2, tinyGeometry(), timings());
+    const AccessResult w = touch(mem, 1, 42, true);
+    EXPECT_FALSE(w.invalidatedRemote);
+    EXPECT_EQ(mem.stats(1).invalidationsSent, 0u);
+    EXPECT_EQ(mem.stats(0).invalidationsReceived, 0u);
+    EXPECT_EQ(mem.cachedLines(), 1u);
+}
+
+TEST(Directory, AddSharerClearsExclusive)
+{
+    MemorySystem mem(4, tinyGeometry(), timings());
+    touch(mem, 0, 3);
+    EXPECT_TRUE(mem.sharers(3).exclusive);
+    touch(mem, 1, 3);
+    const DirEntry entry = mem.sharers(3);
+    EXPECT_FALSE(entry.exclusive);
+    EXPECT_EQ(entry.sharerCount(), 2u);
+}
+
+TEST(Directory, ClearDropsEverything)
+{
+    MemorySystem mem(4, tinyGeometry(), timings());
+    for (Addr line = 0; line < 10; ++line)
+        touch(mem, 0, line);
+    EXPECT_EQ(mem.cachedLines(), 10u);
+    mem.invalidateAll();
+    EXPECT_EQ(mem.cachedLines(), 0u);
+    EXPECT_TRUE(mem.sharers(3).uncached());
+}
+
+TEST(Directory, SixtyFourCoresSupported)
+{
+    MemorySystem mem(64, tinyGeometry(), timings());
+    touch(mem, 63, 1, true);
+    EXPECT_TRUE(mem.sharers(1).exclusive);
+    EXPECT_EQ(mem.sharers(1).owner(), 63u);
+}
+
+TEST(DirectoryDeath, TooManyCoresRejected)
+{
+    // Sharer sets are 64-bit masks.
+    EXPECT_EXIT(MemorySystem(65, HierarchyGeometry{}, timings()),
+                ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(MemorySystem(0, HierarchyGeometry{}, timings()),
+                ::testing::ExitedWithCode(1), "");
+}
+
+TEST(Directory, ManyLinesTracked)
+{
+    MemorySystem mem(4, HierarchyGeometry{}, timings());
+    for (Addr line = 0; line < 1000; ++line)
+        touch(mem, static_cast<CoreId>(line % 4), line);
+    EXPECT_EQ(mem.cachedLines(), 1000u);
+}
+
+// Invariant sweep: with no directory to cross-check, the tag stores
+// themselves must obey MESI after random traffic from several cores —
+// single writer, L1D mirroring the L2 state, L1 inclusion in L2 — and
+// sharers() must report exactly the L2 holders.
+TEST(MemorySystemProperty, CachesObeyMesiUnderRandomTraffic)
+{
+    for (unsigned cores : {1u, 2u, 4u, 8u}) {
+        MemorySystem mem(cores, tinyGeometry(), timings());
+        randomTraffic(mem, 99 + cores, 50000);
+
+        for (Addr line = 0; line < 256; ++line) {
+            unsigned holders = 0;
+            unsigned owners = 0;
+            std::uint64_t mask = 0;
+            for (CoreId c = 0; c < cores; ++c) {
+                const MesiState state = mem.l2(c).probe(line);
+                if (state != MesiState::Invalid) {
+                    ++holders;
+                    mask |= 1ULL << c;
+                }
+                if (canWrite(state))
+                    ++owners;
+                const MesiState l1d = mem.l1d(c).probe(line);
+                if (l1d != MesiState::Invalid) {
+                    ASSERT_EQ(l1d, state)
+                        << "L1D of core " << c << " disagrees with its L2 "
+                        << "on line " << line << " (" << cores
+                        << " cores)";
+                }
+                if (mem.l1i(c).probe(line) != MesiState::Invalid) {
+                    ASSERT_NE(state, MesiState::Invalid)
+                        << "L1I holds line " << line
+                        << " that L2 dropped on core " << c;
+                }
             }
-            if (canWrite(state))
-                ++writers;
-            // L1 inclusion in L2.
-            if (mem.l1d(c).probe(line) != MesiState::Invalid ||
-                mem.l1i(c).probe(line) != MesiState::Invalid) {
-                ASSERT_NE(state, MesiState::Invalid)
-                    << "L1 holds line " << line
-                    << " that L2 dropped on core " << c;
+            ASSERT_LE(owners, 1u) << "two E/M holders of line " << line;
+            if (owners == 1) {
+                ASSERT_EQ(holders, 1u)
+                    << "E/M holder coexists with sharers on line " << line;
             }
+            const DirEntry entry = mem.sharers(line);
+            ASSERT_EQ(entry.sharerMask, mask) << "line " << line;
+            ASSERT_EQ(entry.exclusive, owners == 1) << "line " << line;
         }
-        ASSERT_LE(writers, 1u) << "multiple writers for line " << line;
-        if (writers == 1)
-            ASSERT_EQ(holders, 1u)
-                << "writer coexists with sharers on line " << line;
-        ASSERT_EQ(entry.sharerCount(), holders);
+    }
+}
+
+// The mem.directory.lines gauge polls cachedLines(); hold it to a
+// brute-force count of the distinct lines resident in any L2.
+TEST(MemorySystemProperty, CachedLinesCountsDistinctL2Lines)
+{
+    for (unsigned cores : {1u, 2u, 4u, 8u}) {
+        MemorySystem mem(cores, tinyGeometry(), timings());
+        for (int round = 0; round < 10; ++round) {
+            randomTraffic(mem, 7 * cores + round, 2000);
+            std::set<Addr> lines;
+            for (CoreId c = 0; c < cores; ++c) {
+                for (Addr line = 0; line < 256; ++line) {
+                    if (mem.l2(c).probe(line) != MesiState::Invalid)
+                        lines.insert(line);
+                }
+            }
+            ASSERT_EQ(mem.cachedLines(), lines.size())
+                << cores << " cores, round " << round;
+        }
+        mem.invalidateAll();
+        EXPECT_EQ(mem.cachedLines(), 0u);
     }
 }
 

@@ -342,6 +342,12 @@ TEST(ReferenceTape, DifferentGeneratorWorldIsRejectedAtBind)
     EXPECT_THROW(system.bindReferenceTape(tape), FatalError);
 }
 
+// A multi-thread stream is not a function of one RNG: every thread's
+// Workload shares the OsPools regions (kernel data, shared-io, service
+// code; the user profile draws from shared-io too), whose reuse rings
+// and stream cursors advance in event order. A tape checks only the
+// RNG digest, profile and length, so binding such a run would replay
+// wrong references without failing a check — it must never bind.
 TEST(ReferenceTape, MultiThreadAndServingConfigsNeverBind)
 {
     SystemConfig multi = withHorizons(

@@ -7,8 +7,8 @@
  * the sweep runner's fork grouping (sweepWarmerConfig /
  * sweepWarmupKey) must group exactly the points whose warm-up
  * prefixes are interchangeable. Differential tests for the SoA cache
- * and directory against their retained reference implementations
- * live in test_soa_differential.cc.
+ * against its retained reference implementation live in
+ * test_soa_differential.cc.
  */
 
 #include <gtest/gtest.h>

@@ -1,13 +1,13 @@
 /**
  * @file
- * Differential tests for the structure-of-arrays cache and directory
- * against the retained array-of-structs / hash-map reference
- * implementations (reference_cache.hh, reference_directory.hh).
+ * Differential tests for the structure-of-arrays cache against the
+ * retained array-of-structs reference implementation
+ * (reference_cache.hh).
  *
  * Both implementations are driven with identical randomized traffic
  * and every observable — returned states, LRU-driven victim choices,
- * eviction records, hit/miss/eviction counters, resident-line and
- * tracked-line counts — must match exactly at every step. The SoA
+ * eviction records, hit/miss/eviction counters and resident-line
+ * counts — must match exactly at every step. The SoA
  * rewrite is a pure layout change; any behavioural divergence is a
  * bug in the rewrite, not an accepted difference.
  */
@@ -18,9 +18,7 @@
 #include <string>
 
 #include "mem/cache.hh"
-#include "mem/directory.hh"
 #include "reference_cache.hh"
-#include "reference_directory.hh"
 #include "sim/random.hh"
 
 namespace oscar
@@ -139,83 +137,6 @@ TEST(SoACacheDifferential, MatchesReferenceAcrossGeometries)
         tiny.lineBytes = 32;
         driveCachePair(tiny, seed, 10'000);
     }
-}
-
-/** Drive both directories with the same sharer-traffic stream. */
-void
-driveDirectoryPair(unsigned cores, std::uint64_t seed, int operations)
-{
-    Directory soa(cores);
-    ReferenceDirectory ref(cores);
-
-    const std::uint64_t pool = 512;
-    Rng rng(seed);
-
-    for (int op = 0; op < operations; ++op) {
-        const Addr line = rng.nextBounded(pool);
-        const CoreId core =
-            static_cast<CoreId>(rng.nextBounded(cores));
-        switch (rng.nextBounded(6)) {
-          case 0: {
-            soa.addSharer(line, core);
-            ref.addSharer(line, core);
-            break;
-          }
-          case 1: {
-            soa.setExclusive(line, core);
-            ref.setExclusive(line, core);
-            break;
-          }
-          case 2: {
-            // demoteToShared requires a tracked line.
-            if (ref.lookup(line).sharerMask != 0) {
-                soa.demoteToShared(line);
-                ref.demoteToShared(line);
-            }
-            break;
-          }
-          case 3:
-          case 4: {
-            soa.removeSharer(line, core);
-            ref.removeSharer(line, core);
-            break;
-          }
-          default: {
-            if (rng.nextBounded(128) == 0) {
-                soa.clear();
-                ref.clear();
-            }
-            break;
-          }
-        }
-        const DirEntry a = soa.lookup(line);
-        const DirEntry b = ref.lookup(line);
-        EXPECT_EQ(a.sharerMask, b.sharerMask);
-        EXPECT_EQ(a.exclusive, b.exclusive);
-        EXPECT_EQ(soa.trackedLines(), ref.trackedLines());
-    }
-
-    // Final sweep over the whole pool: every entry must agree, not
-    // just the ones the loop happened to re-check last.
-    for (Addr line = 0; line < pool; ++line) {
-        const DirEntry a = soa.lookup(line);
-        const DirEntry b = ref.lookup(line);
-        EXPECT_EQ(a.sharerMask, b.sharerMask) << "line " << line;
-        EXPECT_EQ(a.exclusive, b.exclusive) << "line " << line;
-    }
-}
-
-TEST(SoADirectoryDifferential, MatchesReferenceAcrossCoreCounts)
-{
-    for (unsigned cores : {2u, 8u, 64u})
-        driveDirectoryPair(cores, 100 + cores, 30'000);
-}
-
-TEST(SoADirectoryDifferential, MatchesReferenceUnderHeavyChurn)
-{
-    // Insert/remove churn around the hash table's growth and
-    // tombstone behaviour: many lines, frequent full erasure.
-    driveDirectoryPair(4, 77, 120'000);
 }
 
 } // namespace
