@@ -44,6 +44,11 @@
  *  - predictor_dm_hot / predictor_infinite_hot: the predictor_cam_hot
  *    stream through the 1500-entry tag-less direct-mapped RAM and the
  *    unbounded table, the other two organizations of Section III-A.
+ *  - event_queue_hot: the event kernel alone — a steady population of
+ *    64 pending payload events, each pop rescheduling one event a
+ *    pseudo-random distance ahead; the record carries ns per event
+ *    (one pop plus one schedule), a host-independent rate for the
+ *    event-loop layer.
  *
  * Methodology: every scenario runs `--warmup` untimed iterations and
  * then `--reps` timed repetitions; the report carries each run plus
@@ -97,6 +102,7 @@
 
 #include "core/run_length_predictor.hh"
 #include "cpu/exec_engine.hh"
+#include "sim/event_queue.hh"
 #include "sim/json.hh"
 #include "sim/metrics.hh"
 #include "sim/random.hh"
@@ -672,6 +678,49 @@ runExecHotScenario(const PerfOptions &opts)
 }
 
 // ---------------------------------------------------------------------
+// Scenario: event-queue microbenchmark
+
+/**
+ * Times EventQueue alone on the shape of System's loop, where every
+ * fired event schedules its successor: a fixed population of pending
+ * events, each pop followed by one schedule a pseudo-random 1..5,000
+ * cycles ahead.
+ */
+ScenarioResult
+runEventQueueHotScenario(const PerfOptions &opts)
+{
+    constexpr std::uint32_t kPending = 64;
+    constexpr std::uint64_t kEvents = 4'000'000;
+    constexpr std::size_t kDelayMask = 1023;
+
+    Rng rng(31);
+    std::vector<Cycle> delays(kDelayMask + 1);
+    for (Cycle &delay : delays)
+        delay = 1 + rng.nextBounded(5000);
+
+    Cycle end = 0;
+    ScenarioResult result = measure("event_queue_hot", opts, [&] {
+        EventQueue queue;
+        for (std::uint32_t i = 0; i < kPending; ++i)
+            queue.schedule(delays[i], EventPayload{0, i, 0});
+        for (std::uint64_t n = 0; n < kEvents; ++n) {
+            const EventQueue::Fired event = queue.pop();
+            queue.schedule(event.when + delays[n & kDelayMask],
+                           event.payload);
+        }
+        end = queue.now();
+    });
+    result.meta.emplace_back("events", std::to_string(kEvents));
+    result.meta.emplace_back("pending", std::to_string(kPending));
+    result.meta.emplace_back(
+        "ns_per_event",
+        formatDouble(result.medianMs * 1e6 / static_cast<double>(kEvents),
+                     2));
+    result.meta.emplace_back("checksum", std::to_string(end & 0xFFFF));
+    return result;
+}
+
+// ---------------------------------------------------------------------
 // Report serialization and comparison
 
 std::string
@@ -866,6 +915,7 @@ scenarioTable()
                  "predictor_infinite_hot", opts,
                  zipfAStateStream(4096, 80));
          }},
+        {"event_queue_hot", runEventQueueHotScenario},
     };
     return table;
 }

@@ -30,11 +30,11 @@ main()
     table.addRow({"L1 I-cache",
                   kb(g.l1i.sizeBytes) + "/" +
                       std::to_string(g.l1i.assoc) + "-way, " +
-                      std::to_string(g.l1i.hitLatency) + "-cycle"});
+                      std::to_string(t.l1Hit) + "-cycle"});
     table.addRow({"L1 D-cache",
                   kb(g.l1d.sizeBytes) + "/" +
                       std::to_string(g.l1d.assoc) + "-way, " +
-                      std::to_string(g.l1d.hitLatency) + "-cycle"});
+                      std::to_string(t.l1Hit) + "-cycle"});
     table.addRow({"L2 cache",
                   kb(g.l2.sizeBytes) + "/" +
                       std::to_string(g.l2.assoc) + "-way, " +

@@ -34,7 +34,7 @@
 namespace oscar
 {
 
-/** Geometry and timing of one cache level. */
+/** Geometry of one cache level; hit latencies are MemTimings'. */
 struct CacheGeometry
 {
     /** Capacity in bytes. */
@@ -43,8 +43,6 @@ struct CacheGeometry
     unsigned assoc = 2;
     /** Line size in bytes. */
     unsigned lineBytes = 64;
-    /** Access latency in cycles. */
-    Cycle hitLatency = 1;
 
     /** Number of sets implied by the geometry. */
     std::uint64_t sets() const;

@@ -25,7 +25,7 @@ CoreMemStats::l2HitRate() const
 MemorySystem::MemorySystem(unsigned num_cores,
                            const HierarchyGeometry &geometry,
                            const MemTimings &timings)
-    : coreStats(num_cores), fabric(timings.interconnectHop), lat(timings)
+    : coreStats(num_cores), lat(timings)
 {
     // Sharer sets are 64-bit masks.
     if (num_cores == 0 || num_cores > 64)
@@ -184,7 +184,6 @@ MemorySystem::invalidateSharers(const DirEntry &entry, Addr line_addr,
         cores[c].l1d.invalidate(line_addr);
         cores[c].l1i.invalidate(line_addr);
         ++coreStats[c].invalidationsReceived;
-        fabric.countMessage();
         ++invalidated;
     }
     return invalidated;
@@ -224,8 +223,7 @@ MemorySystem::upgradeLine(CoreId core, Addr line_addr)
     // S->M upgrade: request to directory, invalidations to sharers,
     // acks back to the requester. The requester holds the line Shared,
     // so every other holder is a sharer to invalidate.
-    fabric.countMessage();
-    Cycle latency = fabric.requestResponse() + lat.directoryLookup;
+    Cycle latency = 2 * lat.interconnectHop + lat.directoryLookup;
     const DirEntry entry = sharers(line_addr, core);
     const unsigned invalidated =
         invalidateSharers(entry, line_addr, core);
@@ -244,8 +242,7 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
 {
     (void)ctx;
     AccessResult result;
-    fabric.countMessage();
-    result.latency = fabric.requestResponse() + lat.directoryLookup;
+    result.latency = 2 * lat.interconnectHop + lat.directoryLookup;
 
     // The sharer set is read once, before any state changes; the
     // requester just missed in its L2, so it is not among them. The
@@ -256,7 +253,6 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
     if (entry.exclusive) {
         // Another core owns the line in E or M: cache-to-cache supply.
         const CoreId owner = entry.owner();
-        fabric.countMessage();
         result.latency += lat.cacheToCache;
         result.source = AccessSource::RemoteCache;
         ++coreStats[core].c2cTransfers;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "mem/cache.hh"
-#include "mem/interconnect.hh"
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -140,15 +139,16 @@ struct MemTimings
     Cycle cacheToCache = 25;
     Cycle invalidateAck = 20;
     Cycle memory = 350;
+    /** One fabric traversal; a request/response round trip pays two. */
     Cycle interconnectHop = 10;
 };
 
 /** Geometry of one core's private hierarchy (Table II defaults). */
 struct HierarchyGeometry
 {
-    CacheGeometry l1i{32 * 1024, 2, 64, 1};
-    CacheGeometry l1d{32 * 1024, 2, 64, 1};
-    CacheGeometry l2{1024 * 1024, 16, 64, 12};
+    CacheGeometry l1i{32 * 1024, 2, 64};
+    CacheGeometry l1d{32 * 1024, 2, 64};
+    CacheGeometry l2{1024 * 1024, 16, 64};
 };
 
 /** Per-core, per-context cache statistics. */
@@ -331,7 +331,7 @@ class MemorySystem
 
     /**
      * Invalidate every cached copy of a line outside @p except,
-     * charging per-sharer fabric messages and invalidation stats.
+     * charging per-sharer invalidation stats.
      */
     unsigned invalidateSharers(const DirEntry &entry, Addr line_addr,
                                CoreId except);
@@ -356,7 +356,6 @@ class MemorySystem
 
     std::vector<CoreCaches> cores;
     std::vector<CoreMemStats> coreStats;
-    Interconnect fabric;
     MemTimings lat;
     unsigned lineShift;
     /** Full-hierarchy invalidations (thread-migration flushes). */

@@ -6,54 +6,32 @@
  * global event queue keyed by cycle. Ties are broken by insertion
  * order, so simulation is fully deterministic.
  *
- * Storage is a slot pool with a free list: a fired or cancelled
- * entry's slot (and its callback's captured state) is reclaimed
- * immediately and reused by later schedules, so memory is bounded by
- * the peak number of simultaneously pending events rather than
- * growing with the total event count of a run. Cancelled events leave
- * a stale id in the heap that is skipped lazily when it surfaces.
- *
- * Events come in two flavours. Callback events wrap an arbitrary
- * capture (InlineFunction) and cannot survive a snapshot: a capture
- * typically holds a `this` pointer into the system being copied.
- * Payload events carry only plain data ({kind, a, b}) and are
- * dispatched through a single handler installed with
- * setPayloadHandler(); they are trivially copyable, so a queue whose
- * live events are all payload events can be deep-copied — the
- * warm-state snapshot/fork machinery relies on this, and the copy
- * constructor asserts it.
+ * An event is plain data: a cycle, a sequence number and a payload
+ * whose meaning belongs to the scheduler (System encodes its event
+ * vocabulary in it). The queue is a binary min-heap of trivially
+ * copyable items ordered by (cycle, sequence); the caller pops the
+ * earliest item and dispatches it itself. Because every item is plain
+ * data, the implicit copy constructor is a complete snapshot.
  */
 
 #ifndef OSCAR_SIM_EVENT_QUEUE_HH_
 #define OSCAR_SIM_EVENT_QUEUE_HH_
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/inline_function.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace oscar
 {
 
 /**
- * Inline storage budget for event callbacks, in bytes: sized for the
- * largest capture scheduled by System ([this, tid, length] — a
- * pointer, a 32-bit thread id and a 64-bit instruction count), and
- * static_asserted there. A callable that does not fit is a compile
- * error, never a heap allocation — schedule() is the per-event hot
- * path and must stay allocation-free.
- */
-inline constexpr std::size_t kEventCallbackBytes = 24;
-
-/**
  * Plain-data event: a discriminator plus two operand words. The
- * meaning of kind/a/b is private to the component that installed the
- * payload handler (System encodes its event vocabulary here). Kept
- * trivially copyable on purpose — payload events are what makes an
- * EventQueue snapshot possible.
+ * meaning of kind/a/b is private to the component that schedules and
+ * dispatches the events.
  */
 struct EventPayload
 {
@@ -62,155 +40,92 @@ struct EventPayload
     std::uint64_t b = 0;
 };
 
-/** Dispatcher for payload events; ctx is the installer's context. */
-using PayloadHandler = void (*)(void *ctx, const EventPayload &payload,
-                                Cycle now);
-
 /**
- * Min-heap of (cycle, sequence) ordered callbacks.
+ * Min-heap of (cycle, sequence) ordered payload events.
  */
 class EventQueue
 {
   public:
-    using Callback = InlineFunction<void(Cycle), kEventCallbackBytes>;
-
-    EventQueue() = default;
-
-    /**
-     * Snapshot copy. Every live event must be a payload event
-     * (asserted): callback captures are opaque and typically point
-     * into the system being copied. The payload handler and its
-     * context are deliberately NOT copied — the clone's owner must
-     * install its own with setPayloadHandler() before running.
-     */
-    EventQueue(const EventQueue &other);
-
-    EventQueue(EventQueue &&) = default;
-    EventQueue &operator=(const EventQueue &) = delete;
-    EventQueue &operator=(EventQueue &&) = default;
+    /** An event taken off the queue: its cycle and payload. */
+    struct Fired
+    {
+        Cycle when;
+        EventPayload payload;
+    };
 
     /**
-     * Schedule a callback at an absolute cycle.
+     * Schedule a payload event at an absolute cycle.
      *
      * @param when Absolute cycle; must be >= now().
-     * @param cb Callback invoked with the firing cycle.
-     * @return Monotonically increasing event id.
-     */
-    std::uint64_t schedule(Cycle when, Callback cb);
-
-    /**
-     * Install the dispatcher for payload events. One handler serves
-     * the whole queue; the context pointer is passed back verbatim.
-     * Must be set before the first payload event fires.
      */
     void
-    setPayloadHandler(PayloadHandler handler, void *ctx)
+    schedule(Cycle when, const EventPayload &payload)
     {
-        payloadHandler = handler;
-        payloadCtx = ctx;
+        oscar_assert(when >= currentCycle);
+        heap.push(Item{when, nextSeq++, payload});
+        peakPending = std::max(peakPending, heap.size());
     }
 
     /**
-     * Schedule a payload event at an absolute cycle. Shares the id
-     * sequence and slot pool with schedule(), so interleaving the two
-     * kinds preserves deterministic tie-breaking.
-     *
-     * @param when Absolute cycle; must be >= now().
-     * @param payload Dispatched to the installed handler when firing.
-     * @return Monotonically increasing event id.
+     * Take the earliest pending event off the queue. now() advances to
+     * its cycle and it counts as fired before the caller dispatches it,
+     * so a handler sees itself in firedCount() and not in
+     * pendingCount().
      */
-    std::uint64_t schedulePayload(Cycle when, const EventPayload &payload);
+    Fired
+    pop()
+    {
+        oscar_assert(!heap.empty());
+        const Item item = heap.top();
+        heap.pop();
+        currentCycle = item.when;
+        ++fired;
+        return Fired{item.when, item.payload};
+    }
 
-    /**
-     * Cancel a previously scheduled event.
-     *
-     * @return true if the event existed and had not yet fired.
-     */
-    bool cancel(std::uint64_t id);
+    /** True when no events are pending. */
+    bool empty() const { return heap.empty(); }
 
-    /** Fire the earliest pending event; advances now(). */
-    void runOne();
-
-    /** Run until the queue is empty or now() would exceed the limit. */
-    void runUntil(Cycle limit);
-
-    /** True when no live events are pending. */
-    bool empty() const;
-
-    /** Number of live (non-cancelled) pending events. */
-    std::size_t pendingCount() const { return liveIndex.size(); }
+    /** Number of pending events. */
+    std::size_t pendingCount() const { return heap.size(); }
 
     /** Current simulated cycle. */
     Cycle now() const { return currentCycle; }
 
-    /** Cycle of the earliest pending event, or kNoCycle when empty. */
-    Cycle nextEventCycle() const;
-
-    /** Total events ever fired (for stats/tests). */
+    /** Total events ever fired. */
     std::uint64_t firedCount() const { return fired; }
 
-    /** Total events ever scheduled (ids are dense, never reused). */
-    std::uint64_t scheduledCount() const { return nextId; }
+    /** Total events ever scheduled. */
+    std::uint64_t scheduledCount() const { return nextSeq; }
 
-    /** Total events cancelled before firing. */
-    std::uint64_t cancelledCount() const { return cancelled; }
-
-    /** Entry slots allocated (live + reclaimed); bounds memory use. */
-    std::size_t slotCount() const { return pool.size(); }
-
-    /** Slots on the free list awaiting reuse (tests). */
-    std::size_t freeSlotCount() const { return freeSlots.size(); }
+    /** High-water mark of pendingCount(); bounds the heap's memory. */
+    std::size_t peakPendingCount() const { return peakPending; }
 
   private:
-    /** Reusable storage for one scheduled callback or payload. */
-    struct Slot
-    {
-        Cycle when = 0;
-        std::uint64_t id = 0;
-        Callback cb;
-        EventPayload payload;
-        bool isPayload = false;
-    };
-
-    /** Heap key; the slot is only valid while the id is live. */
-    struct HeapItem
+    struct Item
     {
         Cycle when;
-        std::uint64_t id;
-        std::uint32_t slot;
+        std::uint64_t seq;
+        EventPayload payload;
     };
 
-    struct Compare
+    /** Orders the heap so its top is the (when, seq)-minimal item. */
+    struct Later
     {
         bool
-        operator()(const HeapItem &a, const HeapItem &b) const
+        operator()(const Item &a, const Item &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            return a.id > b.id;
+            return a.seq > b.seq;
         }
     };
 
-    /** Pop heap items whose id is no longer live (cancelled). */
-    void skipStale();
-
-    /** Release a slot back to the free list. */
-    void reclaim(std::uint64_t id, std::uint32_t slot);
-
-    /** Slots are always either live or free-listed. */
-    void checkConsistency() const;
-
-    std::priority_queue<HeapItem, std::vector<HeapItem>, Compare> heap;
-    std::vector<Slot> pool;
-    std::vector<std::uint32_t> freeSlots;
-    /** Live event id -> slot; ids are never reused. */
-    std::unordered_map<std::uint64_t, std::uint32_t> liveIndex;
+    std::priority_queue<Item, std::vector<Item>, Later> heap;
     Cycle currentCycle = 0;
-    std::uint64_t nextId = 0;
+    std::uint64_t nextSeq = 0;
     std::uint64_t fired = 0;
-    std::uint64_t cancelled = 0;
-    PayloadHandler payloadHandler = nullptr;
-    void *payloadCtx = nullptr;
+    std::size_t peakPending = 0;
 };
 
 } // namespace oscar

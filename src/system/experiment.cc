@@ -161,10 +161,9 @@ appendGeometryKey(std::string &key, const char *name,
                   const CacheGeometry &g)
 {
     char buf[96];
-    std::snprintf(buf, sizeof(buf), " %s=%llu/%u/%u/%llu", name,
+    std::snprintf(buf, sizeof(buf), " %s=%llu/%u/%u", name,
                   static_cast<unsigned long long>(g.sizeBytes), g.assoc,
-                  g.lineBytes,
-                  static_cast<unsigned long long>(g.hitLatency));
+                  g.lineBytes);
     key += buf;
 }
 

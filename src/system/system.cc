@@ -57,7 +57,6 @@ System::System(const SystemConfig &config)
       dynamicThreshold(controller)
 {
     cfg.validate();
-    events.setPayloadHandler(&System::eventTrampoline, this);
 
     // Offload-disabled systems still get a (trivial) topology so node
     // queries are always answerable; the configured one only matters
@@ -103,8 +102,6 @@ System::System(const System &other)
       topo(other.topo), cores(other.cores), profile(other.profile),
       tape(other.tape), tapeCursor(other.tapeCursor)
 {
-    // The copied EventQueue carries no handler; install ours.
-    events.setPayloadHandler(&System::eventTrampoline, this);
     // The copied controller may carry the original's trace sink.
     controller.setTraceSink(nullptr);
     queues.cloneFrom(other.queues, topo);
@@ -369,13 +366,15 @@ System::setMetricRegistry(MetricRegistry *registry)
                         [this] { return events.scheduledCount(); });
     registry->counterFn("events.fired",
                         [this] { return events.firedCount(); });
+    // The kernel cancels nothing; the series stays so oscar.metrics.v1
+    // catalogues keep their columns.
     registry->counterFn("events.cancelled",
-                        [this] { return events.cancelledCount(); });
+                        [] { return std::uint64_t{0}; });
     registry->gauge("events.pending", [this] {
         return static_cast<double>(events.pendingCount());
     });
     registry->gauge("events.slots", [this] {
-        return static_cast<double>(events.slotCount());
+        return static_cast<double>(events.peakPendingCount());
     });
 
     // Log counts are process-wide; export them relative to attach time
@@ -432,15 +431,10 @@ System::buildPolicy(Thread &thread)
 }
 
 void
-System::eventTrampoline(void *ctx, const EventPayload &payload,
-                        Cycle now)
+System::dispatchEvent(const EventQueue::Fired &event)
 {
-    static_cast<System *>(ctx)->dispatchEvent(payload, now);
-}
-
-void
-System::dispatchEvent(const EventPayload &payload, Cycle now)
-{
+    const EventPayload &payload = event.payload;
+    const Cycle now = event.when;
     switch (static_cast<EventKind>(payload.kind)) {
       case EventKind::ThreadStep:
         threadStep(payload.a);
@@ -477,7 +471,7 @@ System::dispatchEvent(const EventPayload &payload, Cycle now)
 void
 System::scheduleThread(std::uint32_t tid, Cycle when)
 {
-    events.schedulePayload(
+    events.schedule(
         when, EventPayload{
                   static_cast<std::uint32_t>(EventKind::ThreadStep),
                   tid, 0});
@@ -811,7 +805,7 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
     thread.pendingQueue = target;
     thread.spilled = false;
     thread.offloadArrival = now + decision.cost + one_way;
-    events.schedulePayload(
+    events.schedule(
         thread.offloadArrival,
         EventPayload{static_cast<std::uint32_t>(EventKind::OsArrival),
                      tid, 0});
@@ -858,7 +852,7 @@ System::osCoreArrival(std::uint32_t tid)
             }
             thread.pendingQueue = spill;
             thread.offloadArrival = now + transfer;
-            events.schedulePayload(
+            events.schedule(
                 thread.offloadArrival,
                 EventPayload{
                     static_cast<std::uint32_t>(EventKind::OsArrival),
@@ -906,7 +900,7 @@ System::startOsExecution(std::uint32_t tid, Cycle start, unsigned target)
                        target);
     }
 
-    events.schedulePayload(
+    events.schedule(
         start + result.cycles,
         EventPayload{static_cast<std::uint32_t>(EventKind::OsComplete),
                      tid, static_cast<std::uint64_t>(length)});
@@ -1001,7 +995,7 @@ System::maybeSteal(unsigned thief, Cycle now)
     const Cycle start = now + transfer;
     queues.queue(thief).adoptStolen(req, start);
     const std::uint32_t stolen_tid = req.threadId;
-    events.schedulePayload(
+    events.schedule(
         start,
         EventPayload{static_cast<std::uint32_t>(EventKind::StealGo),
                      stolen_tid, static_cast<std::uint64_t>(thief)});
@@ -1023,7 +1017,7 @@ void
 System::scheduleNextArrival()
 {
     pendingArrival = requests->nextArrival();
-    events.schedulePayload(
+    events.schedule(
         pendingArrival.issued,
         EventPayload{
             static_cast<std::uint32_t>(EventKind::ArrivalDeliver), 0,
@@ -1033,7 +1027,7 @@ System::scheduleNextArrival()
 void
 System::scheduleClientIssue(std::uint32_t client, Cycle when)
 {
-    events.schedulePayload(
+    events.schedule(
         when, EventPayload{
                   static_cast<std::uint32_t>(EventKind::ClientIssue),
                   client, 0});
@@ -1200,7 +1194,7 @@ System::runLoop(bool stop_at_measurement_start)
                                 requestsCompletedMeasured),
                             static_cast<unsigned long long>(
                                 cfg.serving->measureRequests));
-            events.runOne();
+            dispatchEvent(events.pop());
         }
         return;
     }
@@ -1210,7 +1204,7 @@ System::runLoop(bool stop_at_measurement_start)
             return;
         if (events.empty())
             oscar_panic("event queue drained before all threads finished");
-        events.runOne();
+        dispatchEvent(events.pop());
     }
 }
 

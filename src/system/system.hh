@@ -25,7 +25,6 @@
 #include "mem/memory_system.hh"
 #include "os/interrupts.hh"
 #include "os/invocation.hh"
-#include "os/migration.hh"
 #include "os/numa_topology.hh"
 #include "os/os_core_queue.hh"
 #include "os/os_queue_set.hh"
@@ -410,11 +409,9 @@ class System
     };
 
     /**
-     * Discriminators of the payload events System schedules. Using
-     * plain-data payload events instead of capturing lambdas keeps the
-     * EventQueue snapshot-copyable (see EventQueue's copy ctor); the
-     * trampoline below decodes {kind, a, b} back into the same method
-     * calls the old captures made.
+     * Discriminators of the payload events System schedules;
+     * dispatchEvent() decodes {kind, a, b} back into the method call
+     * each event stands for.
      */
     enum class EventKind : std::uint32_t
     {
@@ -426,12 +423,8 @@ class System
         ClientIssue,    ///< a = client
     };
 
-    /** Static hook handed to EventQueue::setPayloadHandler. */
-    static void eventTrampoline(void *ctx, const EventPayload &payload,
-                                Cycle now);
-
-    /** Decode and execute one payload event. */
-    void dispatchEvent(const EventPayload &payload, Cycle now);
+    /** Decode and execute one fired payload event. */
+    void dispatchEvent(const EventQueue::Fired &event);
 
     /** Advance one thread by one workload token. */
     void threadStep(std::uint32_t tid);

@@ -15,7 +15,6 @@
 #include "core/threshold_controller.hh"
 #include "mem/memory_system.hh"
 #include "os/interrupts.hh"
-#include "os/migration.hh"
 #include "os/numa_topology.hh"
 #include "workload/profiles.hh"
 #include "workload/request_stream.hh"

@@ -16,14 +16,14 @@ CacheGeometry
 smallGeometry()
 {
     // 4 sets x 2 ways of 64 B lines = 512 B.
-    return CacheGeometry{512, 2, 64, 1};
+    return CacheGeometry{512, 2, 64};
 }
 
 TEST(CacheGeometry, SetsComputed)
 {
     EXPECT_EQ(smallGeometry().sets(), 4u);
-    EXPECT_EQ((CacheGeometry{32 * 1024, 2, 64, 1}).sets(), 256u);
-    EXPECT_EQ((CacheGeometry{1024 * 1024, 16, 64, 12}).sets(), 1024u);
+    EXPECT_EQ((CacheGeometry{32 * 1024, 2, 64}).sets(), 256u);
+    EXPECT_EQ((CacheGeometry{1024 * 1024, 16, 64}).sets(), 1024u);
 }
 
 TEST(Cache, MissOnEmpty)
@@ -141,10 +141,10 @@ TEST(Cache, DistinctSetsDoNotConflict)
 TEST(CacheDeath, BadGeometryRejected)
 {
     // Non-power-of-two line size.
-    EXPECT_EXIT(SetAssocCache("t", CacheGeometry{512, 2, 48, 1}),
+    EXPECT_EXIT(SetAssocCache("t", CacheGeometry{512, 2, 48}),
                 ::testing::ExitedWithCode(1), "");
     // Zero associativity.
-    EXPECT_EXIT(SetAssocCache("t", CacheGeometry{512, 0, 64, 1}),
+    EXPECT_EXIT(SetAssocCache("t", CacheGeometry{512, 0, 64}),
                 ::testing::ExitedWithCode(1), "");
 }
 
@@ -152,7 +152,7 @@ TEST(CacheDeath, BadGeometryRejected)
 // every probe() result matches the last recorded action.
 TEST(CacheProperty, RandomizedConsistencyVsReferenceModel)
 {
-    SetAssocCache cache("t", CacheGeometry{1024, 4, 64, 1});
+    SetAssocCache cache("t", CacheGeometry{1024, 4, 64});
     // Reference: map line -> state for lines we believe resident.
     std::uint64_t seed = 12345;
     auto next = [&seed]() {

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -18,227 +16,176 @@ namespace oscar
 namespace
 {
 
+/** A payload whose `a` operand labels the event. */
+EventPayload
+labelled(std::uint32_t label)
+{
+    return EventPayload{0, label, 0};
+}
+
+/** Pop every pending event and return the labels in firing order. */
+std::vector<std::uint32_t>
+drainLabels(EventQueue &q)
+{
+    std::vector<std::uint32_t> order;
+    while (!q.empty())
+        order.push_back(q.pop().payload.a);
+    return order;
+}
+
 TEST(EventQueue, StartsEmptyAtCycleZero)
 {
     EventQueue q;
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.now(), 0u);
-    EXPECT_EQ(q.nextEventCycle(), kNoCycle);
+    EXPECT_EQ(q.pendingCount(), 0u);
+    EXPECT_EQ(q.peakPendingCount(), 0u);
 }
 
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&](Cycle) { order.push_back(3); });
-    q.schedule(10, [&](Cycle) { order.push_back(1); });
-    q.schedule(20, [&](Cycle) { order.push_back(2); });
-    while (!q.empty())
-        q.runOne();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    q.schedule(30, labelled(3));
+    q.schedule(10, labelled(1));
+    q.schedule(20, labelled(2));
+    EXPECT_EQ(drainLabels(q), (std::vector<std::uint32_t>{1, 2, 3}));
     EXPECT_EQ(q.now(), 30u);
 }
 
 TEST(EventQueue, TiesFireInInsertionOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(5, [&](Cycle) { order.push_back(1); });
-    q.schedule(5, [&](Cycle) { order.push_back(2); });
-    q.schedule(5, [&](Cycle) { order.push_back(3); });
-    while (!q.empty())
-        q.runOne();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    q.schedule(5, labelled(1));
+    q.schedule(5, labelled(2));
+    q.schedule(5, labelled(3));
+    EXPECT_EQ(drainLabels(q), (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
-TEST(EventQueue, CallbackReceivesFiringCycle)
+TEST(EventQueue, PopReturnsFiringCycleAndPayload)
 {
     EventQueue q;
-    Cycle seen = 0;
-    q.schedule(17, [&](Cycle when) { seen = when; });
-    q.runOne();
-    EXPECT_EQ(seen, 17u);
+    q.schedule(17, EventPayload{4, 9, 123});
+    const EventQueue::Fired event = q.pop();
+    EXPECT_EQ(event.when, 17u);
+    EXPECT_EQ(event.payload.kind, 4u);
+    EXPECT_EQ(event.payload.a, 9u);
+    EXPECT_EQ(event.payload.b, 123u);
+    EXPECT_EQ(q.now(), 17u);
+}
+
+TEST(EventQueue, PopCountsTheEventBeforeDispatch)
+{
+    // A handler sampling the queue sees itself fired and no longer
+    // pending, the view the metric series have always exported.
+    EventQueue q;
+    q.schedule(10, labelled(1));
+    q.schedule(20, labelled(2));
+    q.pop();
+    EXPECT_EQ(q.firedCount(), 1u);
+    EXPECT_EQ(q.pendingCount(), 1u);
+    EXPECT_EQ(q.scheduledCount(), 2u);
 }
 
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue q;
     int fired = 0;
-    q.schedule(1, [&](Cycle when) {
+    q.schedule(1, labelled(1));
+    while (!q.empty()) {
+        const EventQueue::Fired event = q.pop();
         ++fired;
-        q.schedule(when + 1, [&](Cycle) { ++fired; });
-    });
-    q.runUntil(100);
+        if (event.payload.a == 1)
+            q.schedule(event.when + 1, labelled(2));
+    }
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(q.now(), 2u);
-}
-
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(10, [&](Cycle) { ++fired; });
-    q.schedule(20, [&](Cycle) { ++fired; });
-    q.schedule(30, [&](Cycle) { ++fired; });
-    q.runUntil(20);
-    EXPECT_EQ(fired, 2);
-    EXPECT_FALSE(q.empty());
-    EXPECT_EQ(q.nextEventCycle(), 30u);
-}
-
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue q;
-    int fired = 0;
-    const auto id = q.schedule(10, [&](Cycle) { ++fired; });
-    q.schedule(20, [&](Cycle) { ++fired; });
-    EXPECT_TRUE(q.cancel(id));
-    q.runUntil(100);
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelUnknownIdFails)
-{
-    EventQueue q;
-    EXPECT_FALSE(q.cancel(12345));
-}
-
-TEST(EventQueue, CancelTwiceFails)
-{
-    EventQueue q;
-    const auto id = q.schedule(10, [](Cycle) {});
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueue, PendingCountTracksLiveEvents)
 {
     EventQueue q;
-    const auto a = q.schedule(10, [](Cycle) {});
-    q.schedule(20, [](Cycle) {});
+    q.schedule(10, labelled(1));
+    q.schedule(20, labelled(2));
     EXPECT_EQ(q.pendingCount(), 2u);
-    q.cancel(a);
+    q.pop();
     EXPECT_EQ(q.pendingCount(), 1u);
-    q.runOne();
+    q.pop();
     EXPECT_EQ(q.pendingCount(), 0u);
-}
-
-TEST(EventQueue, NextEventCycleSkipsCancelled)
-{
-    EventQueue q;
-    const auto a = q.schedule(10, [](Cycle) {});
-    q.schedule(20, [](Cycle) {});
-    q.cancel(a);
-    EXPECT_EQ(q.nextEventCycle(), 20u);
 }
 
 TEST(EventQueue, SchedulingAtCurrentCycleIsAllowed)
 {
     EventQueue q;
-    int fired = 0;
-    q.schedule(5, [&](Cycle when) {
-        q.schedule(when, [&](Cycle) { ++fired; });
-    });
-    q.runUntil(5);
-    EXPECT_EQ(fired, 1);
+    q.schedule(5, labelled(1));
+    const Cycle now = q.pop().when;
+    q.schedule(now, labelled(2));
+    EXPECT_EQ(q.pop().when, 5u);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, FiredCountAccumulates)
 {
     EventQueue q;
     for (int i = 0; i < 7; ++i)
-        q.schedule(i + 1, [](Cycle) {});
-    q.runUntil(100);
+        q.schedule(i + 1, labelled(i));
+    drainLabels(q);
     EXPECT_EQ(q.firedCount(), 7u);
 }
 
 TEST(EventQueue, FiredEntriesAreReclaimed)
 {
-    // Regression: fired entries used to stay in the entry pool until
-    // destruction, so memory grew linearly with the event count of a
-    // run. With the free list, slot storage is bounded by the peak
-    // number of simultaneously pending events.
+    // Fired events leave the heap, so its storage is bounded by the
+    // peak number of simultaneously pending events rather than growing
+    // with the total event count of a run.
     EventQueue q;
     for (int batch = 0; batch < 1000; ++batch) {
-        q.schedule(q.now() + 1, [](Cycle) {});
-        q.schedule(q.now() + 2, [](Cycle) {});
-        q.runOne();
-        q.runOne();
+        q.schedule(q.now() + 1, labelled(1));
+        q.schedule(q.now() + 2, labelled(2));
+        q.pop();
+        q.pop();
     }
     EXPECT_EQ(q.firedCount(), 2000u);
+    EXPECT_EQ(q.scheduledCount(), 2000u);
     EXPECT_EQ(q.pendingCount(), 0u);
-    EXPECT_LE(q.slotCount(), 4u); // peak pending was 2
-    EXPECT_EQ(q.freeSlotCount(), q.slotCount());
+    EXPECT_EQ(q.peakPendingCount(), 2u);
 }
 
-TEST(EventQueue, CancelledEntriesAreReclaimedImmediately)
+TEST(EventQueue, PeakPendingIsAHighWaterMark)
 {
     EventQueue q;
-    std::vector<std::uint64_t> ids;
-    for (int i = 0; i < 100; ++i)
-        ids.push_back(q.schedule(1000 + i, [](Cycle) {}));
-    for (std::uint64_t id : ids)
-        EXPECT_TRUE(q.cancel(id));
-    EXPECT_EQ(q.pendingCount(), 0u);
-    EXPECT_TRUE(q.empty());
-    // All 100 slots are back on the free list and get reused.
-    EXPECT_EQ(q.freeSlotCount(), q.slotCount());
-    for (int i = 0; i < 100; ++i)
-        q.schedule(2000 + i, [](Cycle) {});
-    EXPECT_EQ(q.slotCount(), 100u);
-    EXPECT_EQ(q.pendingCount(), 100u);
+    for (std::uint32_t i = 0; i < 5; ++i)
+        q.schedule(100 + i, labelled(i));
+    drainLabels(q);
+    q.schedule(200, labelled(9));
+    EXPECT_EQ(q.pendingCount(), 1u);
+    EXPECT_EQ(q.peakPendingCount(), 5u);
 }
 
-TEST(EventQueue, SlotReuseKeepsOrderingAndPendingCountConsistent)
+TEST(EventQueue, CopyIsAnIndependentSnapshot)
 {
-    EventQueue q;
-    std::vector<int> order;
-    // Interleave schedule/cancel/fire so slots recycle aggressively,
-    // then check ordering and pendingCount stay consistent.
-    const auto a = q.schedule(10, [&](Cycle) { order.push_back(1); });
-    q.schedule(20, [&](Cycle) { order.push_back(2); });
-    q.cancel(a);
-    // Reuses the slot of `a` with a later deadline but newer id.
-    q.schedule(15, [&](Cycle) { order.push_back(3); });
-    q.schedule(12, [&](Cycle) { order.push_back(4); });
-    EXPECT_EQ(q.pendingCount(), 3u);
-    while (!q.empty())
-        q.runOne();
-    EXPECT_EQ(order, (std::vector<int>{4, 3, 2}));
-    EXPECT_EQ(q.pendingCount(), 0u);
-}
+    EventQueue original;
+    original.schedule(10, labelled(1));
+    original.schedule(10, labelled(2));
+    original.schedule(30, labelled(3));
+    original.pop();
 
-TEST(EventQueue, CallbackStateIsReleasedOnFire)
-{
-    // The callback (and anything it captured) must be destroyed when
-    // the entry is reclaimed, not at queue destruction.
-    auto token = std::make_shared<int>(7);
-    std::weak_ptr<int> watch = token;
-    EventQueue q;
-    q.schedule(5, [token](Cycle) {});
-    token.reset();
-    EXPECT_FALSE(watch.expired()); // held by the pending event
-    q.runOne();
-    EXPECT_TRUE(watch.expired()); // released at reclaim
-}
-
-TEST(EventQueue, CallbackStateIsReleasedOnCancel)
-{
-    auto token = std::make_shared<int>(7);
-    std::weak_ptr<int> watch = token;
-    EventQueue q;
-    const auto id = q.schedule(5, [token](Cycle) {});
-    token.reset();
-    EXPECT_FALSE(watch.expired());
-    q.cancel(id);
-    EXPECT_TRUE(watch.expired());
+    EventQueue copy(original);
+    EXPECT_EQ(copy.now(), 10u);
+    EXPECT_EQ(copy.firedCount(), 1u);
+    EXPECT_EQ(copy.scheduledCount(), 3u);
+    // Both continue identically, including the sequence tie-break of
+    // events scheduled after the copy.
+    original.schedule(30, labelled(4));
+    copy.schedule(30, labelled(4));
+    EXPECT_EQ(drainLabels(original), drainLabels(copy));
+    EXPECT_EQ(original.now(), copy.now());
 }
 
 /**
  * Naive reference model of the event queue: a flat list of
- * (when, id) pairs, fired in (when, id) order by linear scan. Slot
- * reuse, the lazy-cancellation heap and the free list in the real
- * implementation must be observationally identical to this.
+ * (when, id) pairs, fired in (when, id) order by linear scan. The
+ * heap in the real implementation must be observationally identical
+ * to this.
  */
 class ReferenceQueue
 {
@@ -247,18 +194,6 @@ class ReferenceQueue
     schedule(Cycle when, std::uint64_t id)
     {
         pending.push_back({when, id});
-    }
-
-    bool
-    cancel(std::uint64_t id)
-    {
-        for (auto it = pending.begin(); it != pending.end(); ++it) {
-            if (it->second == id) {
-                pending.erase(it);
-                return true;
-            }
-        }
-        return false;
     }
 
     /** Fire the (when, id)-minimal entry; the queue must be nonempty. */
@@ -282,15 +217,6 @@ class ReferenceQueue
         return pending.size();
     }
 
-    Cycle
-    nextCycle() const
-    {
-        Cycle next = kNoCycle;
-        for (const auto &[when, id] : pending)
-            next = std::min(next, when);
-        return next;
-    }
-
   private:
     std::vector<std::pair<Cycle, std::uint64_t>> pending;
 };
@@ -300,172 +226,56 @@ TEST(EventQueueDifferential, RandomOpsMatchReferenceModel)
     EventQueue q;
     ReferenceQueue model;
     Rng rng(0x5EED);
+    std::uint64_t next_id = 0;
+    std::uint64_t fired = 0;
 
-    // Each scheduled callback records (id, firing cycle); the id cell
-    // is filled in after schedule() returns it.
-    std::vector<std::pair<std::uint64_t, Cycle>> fired;
-    std::vector<std::uint64_t> ids; // every id ever issued
+    // Each event carries its id in the payload's b operand.
+    const auto fire_and_check = [&] {
+        const EventQueue::Fired event = q.pop();
+        const auto expected = model.fireNext();
+        ++fired;
+        EXPECT_EQ(event.payload.b, expected.second);
+        EXPECT_EQ(event.when, expected.first);
+        EXPECT_EQ(q.now(), expected.first);
+    };
 
     for (int step = 0; step < 20'000; ++step) {
-        const double roll = rng.nextDouble();
-        if (roll < 0.45) {
+        if (rng.nextDouble() < 0.55) {
             // Schedule at now + [0, 50).
             const Cycle when = q.now() + rng.nextBounded(50);
-            auto cell = std::make_shared<std::uint64_t>(0);
-            const std::uint64_t id =
-                q.schedule(when, [cell, &fired](Cycle at) {
-                    fired.emplace_back(*cell, at);
-                });
-            *cell = id;
+            const std::uint64_t id = next_id++;
+            q.schedule(when, EventPayload{0, 0, id});
             model.schedule(when, id);
-            ids.push_back(id);
-        } else if (roll < 0.65 && !ids.empty()) {
-            // Cancel a random id: may be live, fired, or already
-            // cancelled — outcomes must agree in every case.
-            const std::uint64_t id =
-                ids[rng.nextBounded(ids.size())];
-            EXPECT_EQ(q.cancel(id), model.cancel(id));
         } else if (!q.empty()) {
-            const std::size_t before = fired.size();
-            q.runOne();
-            const auto expected = model.fireNext();
-            ASSERT_EQ(fired.size(), before + 1);
-            EXPECT_EQ(fired.back().first, expected.second);
-            EXPECT_EQ(fired.back().second, expected.first);
-            EXPECT_EQ(q.now(), expected.first);
+            fire_and_check();
         }
         ASSERT_EQ(q.pendingCount(), model.size());
         ASSERT_EQ(q.empty(), model.size() == 0);
-        ASSERT_EQ(q.nextEventCycle(), model.nextCycle());
     }
 
     // Drain what is left; order must match to the end.
-    while (!q.empty()) {
-        const std::size_t before = fired.size();
-        q.runOne();
-        const auto expected = model.fireNext();
-        ASSERT_EQ(fired.size(), before + 1);
-        EXPECT_EQ(fired.back().first, expected.second);
-        EXPECT_EQ(fired.back().second, expected.first);
-    }
+    while (!q.empty())
+        fire_and_check();
     EXPECT_EQ(model.size(), 0u);
-    EXPECT_EQ(q.firedCount(), fired.size());
-}
-
-// ---------------------------------------------------------------------
-// InlineFunction callback storage
-
-// The no-allocation guarantee is structural: every capture System
-// schedules must fit the inline buffer, checked at compile time. These
-// mirror the static_asserts at the call sites in system.cc.
-struct LargestSystemCapture
-{
-    void *self;
-    std::uint32_t tid;
-    std::uint64_t length;
-};
-static_assert(sizeof(LargestSystemCapture) <= kEventCallbackBytes,
-              "the [this, tid, length] completion capture must fit the "
-              "event callback buffer");
-static_assert(EventQueue::Callback::kCapacity == kEventCallbackBytes);
-
-TEST(InlineCallback, InvokesWithArgument)
-{
-    Cycle seen = 0;
-    EventQueue::Callback cb([&seen](Cycle c) { seen = c; });
-    ASSERT_TRUE(static_cast<bool>(cb));
-    cb(17);
-    EXPECT_EQ(seen, 17u);
-}
-
-TEST(InlineCallback, DefaultConstructedIsEmpty)
-{
-    EventQueue::Callback cb;
-    EXPECT_FALSE(static_cast<bool>(cb));
-    EventQueue::Callback null_cb(nullptr);
-    EXPECT_FALSE(static_cast<bool>(null_cb));
-}
-
-TEST(InlineCallback, MoveTransfersStateAndEmptiesSource)
-{
-    int hits = 0;
-    EventQueue::Callback a([&hits](Cycle) { ++hits; });
-    EventQueue::Callback b(std::move(a));
-    EXPECT_FALSE(static_cast<bool>(a));
-    ASSERT_TRUE(static_cast<bool>(b));
-    b(0);
-    EXPECT_EQ(hits, 1);
-
-    EventQueue::Callback c;
-    c = std::move(b);
-    EXPECT_FALSE(static_cast<bool>(b));
-    ASSERT_TRUE(static_cast<bool>(c));
-    c(0);
-    EXPECT_EQ(hits, 2);
-}
-
-TEST(InlineCallback, ResetDestroysCapturedState)
-{
-    auto token = std::make_shared<int>(1);
-    std::weak_ptr<int> watch = token;
-    EventQueue::Callback cb([token](Cycle) {});
-    token.reset();
-    EXPECT_FALSE(watch.expired());
-    cb = nullptr;
-    EXPECT_TRUE(watch.expired());
-    EXPECT_FALSE(static_cast<bool>(cb));
-}
-
-TEST(InlineCallback, MoveRelocatesNonTrivialCapture)
-{
-    // A shared_ptr capture exercises the relocate (move-construct +
-    // destroy-source) path rather than a memcpy.
-    auto token = std::make_shared<int>(5);
-    std::weak_ptr<int> watch = token;
-    EventQueue::Callback a([token](Cycle) {});
-    token.reset();
-    EventQueue::Callback b(std::move(a));
-    EXPECT_FALSE(watch.expired()); // alive inside b
-    b = nullptr;
-    EXPECT_TRUE(watch.expired());
-}
-
-TEST(InlineCallback, FullCapacityCaptureWorks)
-{
-    // A capture of exactly kEventCallbackBytes must be storable and
-    // invocable: the budget is inclusive.
-    struct Full
-    {
-        unsigned char bytes[kEventCallbackBytes - sizeof(void *)];
-        unsigned char *sink;
-    };
-    static_assert(sizeof(Full) == kEventCallbackBytes);
-    unsigned char seen = 0;
-    Full payload{};
-    payload.bytes[0] = 42;
-    payload.sink = &seen;
-    EventQueue::Callback cb(
-        [payload](Cycle) { *payload.sink = payload.bytes[0]; });
-    static_assert(sizeof(Full) <= EventQueue::Callback::kCapacity);
-    cb(0);
-    EXPECT_EQ(seen, 42);
+    EXPECT_EQ(q.firedCount(), fired);
+    EXPECT_EQ(q.scheduledCount(), next_id);
 }
 
 TEST(EventQueue, ManyEventsStressOrdering)
 {
     EventQueue q;
-    Cycle last = 0;
-    bool monotone = true;
     for (int i = 0; i < 1000; ++i) {
         const Cycle when = static_cast<Cycle>((i * 7919) % 5000) + 1;
-        q.schedule(when, [&, when](Cycle) {
-            if (when < last)
-                monotone = false;
-            last = when;
-        });
+        q.schedule(when, labelled(0));
     }
-    while (!q.empty())
-        q.runOne();
+    Cycle last = 0;
+    bool monotone = true;
+    while (!q.empty()) {
+        const Cycle when = q.pop().when;
+        if (when < last)
+            monotone = false;
+        last = when;
+    }
     EXPECT_TRUE(monotone);
 }
 

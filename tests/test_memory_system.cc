@@ -137,9 +137,9 @@ TEST(MemorySystem, L2EvictionInvalidatesL1Inclusion)
     // Tiny L2 (4 lines) with a larger L1 would break inclusion; use a
     // tiny direct-mapped-ish config to force L2 evictions quickly.
     HierarchyGeometry g;
-    g.l1i = CacheGeometry{256, 2, 64, 1};
-    g.l1d = CacheGeometry{256, 2, 64, 1};
-    g.l2 = CacheGeometry{512, 2, 64, 12};
+    g.l1i = CacheGeometry{256, 2, 64};
+    g.l1d = CacheGeometry{256, 2, 64};
+    g.l2 = CacheGeometry{512, 2, 64};
     MemorySystem mem(1, g, timings());
     // Fill the L2's set 0 beyond capacity: lines 0, 4, 8 (4 sets... L2
     // has 4 sets; lines 0,4,8 share set 0).
@@ -208,9 +208,9 @@ HierarchyGeometry
 tinyGeometry()
 {
     HierarchyGeometry g;
-    g.l1i = CacheGeometry{512, 2, 64, 1};
-    g.l1d = CacheGeometry{512, 2, 64, 1};
-    g.l2 = CacheGeometry{2048, 2, 64, 12};
+    g.l1i = CacheGeometry{512, 2, 64};
+    g.l1d = CacheGeometry{512, 2, 64};
+    g.l2 = CacheGeometry{2048, 2, 64};
     return g;
 }
 

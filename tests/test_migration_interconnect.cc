@@ -1,14 +1,13 @@
 /**
  * @file
- * Unit tests for the migration models, the interconnect, the NUMA
- * topology distance map, and the per-core bookkeeping record.
+ * Unit tests for the NUMA topology distance map and the per-core
+ * bookkeeping record.
  */
 
 #include <gtest/gtest.h>
 
 #include "cpu/core.hh"
-#include "mem/interconnect.hh"
-#include "os/migration.hh"
+#include "mem/memory_system.hh"
 #include "os/numa_topology.hh"
 
 namespace oscar
@@ -16,65 +15,16 @@ namespace oscar
 namespace
 {
 
-TEST(Migration, PresetsMatchThePaper)
-{
-    EXPECT_EQ(MigrationModel::conservative().oneWayLatency(), 5000u);
-    EXPECT_EQ(MigrationModel::improvedSoftware().oneWayLatency(), 3000u);
-    EXPECT_EQ(MigrationModel::aggressive().oneWayLatency(), 100u);
-}
-
-TEST(Migration, RoundTripIsTwiceOneWay)
-{
-    const MigrationModel model(1234);
-    EXPECT_EQ(model.roundTripLatency(), 2468u);
-}
-
-TEST(Migration, NamesAreStable)
-{
-    EXPECT_EQ(MigrationModel::conservative().name(), "conservative");
-    EXPECT_EQ(MigrationModel::aggressive().name(), "aggressive");
-    EXPECT_EQ(MigrationModel(7).name(), "custom");
-}
-
-TEST(Migration, ZeroLatencyAllowed)
-{
-    // Figure 4 sweeps a zero-overhead design point.
-    const MigrationModel model(0);
-    EXPECT_EQ(model.roundTripLatency(), 0u);
-}
-
-TEST(Interconnect, LatencyComposition)
-{
-    Interconnect fabric(10);
-    EXPECT_EQ(fabric.coreToDirectory(), 10u);
-    EXPECT_EQ(fabric.directoryToCore(), 10u);
-    EXPECT_EQ(fabric.coreToCore(), 20u);
-    EXPECT_EQ(fabric.requestResponse(), 20u);
-    EXPECT_EQ(fabric.hopLatency(), 10u);
-}
-
-TEST(Interconnect, MessageCounting)
-{
-    Interconnect fabric;
-    EXPECT_EQ(fabric.messageCount(), 0u);
-    fabric.countMessage();
-    fabric.countMessage();
-    EXPECT_EQ(fabric.messageCount(), 2u);
-}
-
 TEST(TopologyDistance, DefaultDegeneratesToTheFlatModel)
 {
     // The paper's machine: every distance is the plain one-way
-    // migration latency, whatever the preset.
-    for (const MigrationModel &model :
-         {MigrationModel::conservative(), MigrationModel::aggressive(),
-          MigrationModel(0)}) {
-        const Topology topo(2, TopologyConfig{}, model.oneWayLatency());
+    // migration latency, at the Conservative (5,000-cycle), Aggressive
+    // (100-cycle) and zero-overhead design points alike.
+    for (const Cycle one_way : {Cycle{5000}, Cycle{100}, Cycle{0}}) {
+        const Topology topo(2, TopologyConfig{}, one_way);
         for (CoreId from = 0; from < 3; ++from) {
-            for (CoreId to = 0; to < 3; ++to) {
-                EXPECT_EQ(topo.migrationOneWay(from, to),
-                          model.oneWayLatency());
-            }
+            for (CoreId to = 0; to < 3; ++to)
+                EXPECT_EQ(topo.migrationOneWay(from, to), one_way);
         }
     }
 }
@@ -108,18 +58,19 @@ TEST(TopologyDistance, SymmetricAndDistanceDependent)
 TEST(TopologyDistance, ComposesWithTheInterconnectModel)
 {
     // A topology whose inter-node hop is the fabric's core-to-core
-    // latency charges exactly one coherence round trip per crossing —
-    // the two models stay dimensionally consistent.
-    Interconnect fabric(10);
+    // latency (two interconnect hops, the round trip MemorySystem
+    // charges per coherence request) pays exactly one such round trip
+    // per crossing — the two models stay dimensionally consistent.
+    const Cycle core_to_core = 2 * MemTimings{}.interconnectHop;
     TopologyConfig cfg;
     cfg.osCores = 2;
     cfg.numaNodes = 2;
     cfg.placement = OsPlacement::Spread;
-    cfg.interNodeHopCycles = fabric.coreToCore();
+    cfg.interNodeHopCycles = core_to_core;
     const Topology topo(2, cfg, 100);
     // User 0 (node 0) to OS core 1 (node 1): one crossing.
     EXPECT_EQ(topo.migrationOneWay(0, topo.osCoreId(1)),
-              100u + fabric.coreToCore());
+              100u + core_to_core);
     // Same-node migration pays no fabric crossing at all.
     EXPECT_EQ(topo.migrationOneWay(0, topo.osCoreId(0)), 100u);
 }

@@ -80,6 +80,33 @@ TEST(ThresholdController, SwitchesToClearlyBetterNeighbour)
     EXPECT_EQ(ctrl.switches(), 1u);
 }
 
+TEST(ThresholdController, RelativeRuleSwitchesOnlyPastOnePercent)
+{
+    // System's default WindowIpc feedback compares rates relatively:
+    // a neighbour must beat the incumbent's rate by 1 % of it. At an
+    // incumbent of 2.0 the additive rule (+0.01) would take both
+    // neighbours below; the relative rule keeps +0.9 % and takes
+    // +1.1 %.
+    ThresholdConfig cfg = testConfig();
+    cfg.relativeImprovement = true;
+
+    ThresholdController stays(cfg);
+    stays.begin(0.5);
+    stays.onEpochEnd(2.0);   // current (1000)
+    stays.onEpochEnd(2.018); // lower (100): +0.9 %
+    stays.onEpochEnd(1.5);   // upper (10000)
+    EXPECT_EQ(stays.currentThreshold(), 1000u);
+    EXPECT_EQ(stays.switches(), 0u);
+
+    ThresholdController switches(cfg);
+    switches.begin(0.5);
+    switches.onEpochEnd(2.0);   // current (1000)
+    switches.onEpochEnd(2.022); // lower (100): +1.1 %
+    switches.onEpochEnd(1.5);   // upper (10000)
+    EXPECT_EQ(switches.currentThreshold(), 100u);
+    EXPECT_EQ(switches.switches(), 1u);
+}
+
 TEST(ThresholdController, UpperCanWinToo)
 {
     ThresholdController ctrl(testConfig());

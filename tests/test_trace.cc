@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -96,8 +97,9 @@ TEST(TraceSink, AttachedClockStampsEvents)
     EventQueue queue;
     MemoryTraceSink sink;
     sink.setClock(&queue);
-    queue.schedule(42, [&](Cycle) { sink.emit(TraceEvent{}); });
-    queue.runOne();
+    queue.schedule(42, EventPayload{});
+    queue.pop();
+    sink.emit(TraceEvent{});
     const auto events = sink.events();
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].cycle, 42u);
@@ -490,6 +492,49 @@ TEST(TraceContent, DynamicRunEmitsEpochAndThresholdEvents)
     }
     EXPECT_GT(epochs, 0u);
     EXPECT_GE(switches, 1u); // at least the initial N record
+}
+
+/** The `fb` value of every epoch event in a captured trace. */
+std::vector<double>
+epochFeedback(const TraceCapture &capture)
+{
+    std::vector<double> values;
+    for (const std::string &line : capture.lines) {
+        if (line.find("\"k\":\"epoch\"") == std::string::npos)
+            continue;
+        const std::size_t at = line.find("\"fb\":");
+        EXPECT_NE(at, std::string::npos) << line;
+        if (at == std::string::npos)
+            continue;
+        double value = -1.0;
+        std::from_chars(line.data() + at + 5, line.data() + line.size(),
+                        value);
+        values.push_back(value);
+    }
+    return values;
+}
+
+TEST(TraceContent, L2HitRateFeedbackDrivesTheController)
+{
+    // The paper's feedback (DESIGN.md §5a): each epoch reports the
+    // averaged L2 hit rate, a fraction, instead of the default
+    // windowed IPC.
+    SystemConfig config = ExperimentRunner::hardwareDynamicConfig(
+        WorkloadKind::Apache, 100);
+    config.warmupInstructions = 10'000;
+    config.measureInstructions = 120'000;
+    config.thresholdConfig.epochScale = 0.0004;
+    const std::vector<double> ipc = epochFeedback(captureTrace(config));
+
+    config.thresholdFeedback = SystemConfig::ThresholdFeedback::L2HitRate;
+    const std::vector<double> hit_rate =
+        epochFeedback(captureTrace(config));
+    ASSERT_FALSE(hit_rate.empty());
+    for (double fb : hit_rate) {
+        EXPECT_GE(fb, 0.0);
+        EXPECT_LE(fb, 1.0);
+    }
+    EXPECT_NE(hit_rate, ipc);
 }
 
 } // namespace
